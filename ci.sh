@@ -73,6 +73,10 @@ cargo test -q -p gsf-perf --test zero_alloc_replay
 # pulls in the fleet-scale 24k-VM fixture, which only runs here in
 # release (the earlier `cargo build --release` makes this cheap).
 cargo test -q --release -p gsf-core --test streamed_equivalence -- --include-ignored
+# The benchmark is a workspace of its own, so the workspace gates above
+# never compile it; build and test it here (every workload at smoke
+# scale against the library's public sizing and replay calls).
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 # Docs must build clean: public-API rustdoc (broken intra-doc links,
 # malformed HTML) is a release gate, not a warning.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q

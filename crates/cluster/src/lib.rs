@@ -25,12 +25,12 @@ pub mod sizing;
 pub use buffer::GrowthBufferPolicy;
 pub use savings::{cluster_emissions, savings_fraction};
 pub use sharded::{
-    replay_sharded, right_size_baseline_only_prepared_sharded, right_size_mixed_prepared_sharded,
+    replay_sharded, right_size_baseline_only_prepared_sharded, right_size_prepared_sharded,
 };
 pub use sizing::{
     right_size_baseline_only, right_size_baseline_only_faulted, right_size_baseline_only_prepared,
     right_size_baseline_only_prepared_linear, right_size_baseline_only_unprepared,
     right_size_mixed, right_size_mixed_faulted, right_size_mixed_prepared,
-    right_size_mixed_prepared_linear, right_size_mixed_unprepared, AvailabilitySlo, ClusterPlan,
-    FaultInjection, SizingError,
+    right_size_mixed_prepared_linear, right_size_mixed_unprepared, right_size_prepared,
+    AvailabilitySlo, ClusterPlan, FaultInjection, SizingError,
 };

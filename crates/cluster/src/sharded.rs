@@ -10,7 +10,9 @@
 //! count — the `shard_equivalence` suite gates exactly that.
 
 use crate::parallel::map_parallel_mut;
-use crate::sizing::{baseline_search, mixed_search, ClusterPlan, FaultInjection, SizingError};
+use crate::sizing::{
+    baseline_search, mixed_search, ClusterPlan, FaultInjection, Probe, SizingError,
+};
 use gsf_vmalloc::{
     merge_outcomes, ClusterConfig, FaultPlan, FaultSummary, PlacementPolicy, PreparedTrace,
     ServerShape, ShardedSim, SimOutcome,
@@ -42,23 +44,25 @@ pub fn replay_sharded(
 /// Feasibility probe on the sharded engine: reset, replay on `workers`
 /// threads, require no rejections (and, under fault injection, full
 /// evacuation or the availability-SLO budget). The sharded analogue of
-/// the unsharded prepared probe.
+/// the unsharded prepared probe, but never exact: the shard partition
+/// changes with the pool size, so the searches bisect it probe by
+/// probe.
 fn feasible_sharded(
     sim: &mut ShardedSim,
     prepared: &PreparedTrace,
     config: ClusterConfig,
     faults: Option<&FaultInjection<'_>>,
     workers: usize,
-) -> bool {
+) -> Probe {
     sim.reset(config);
-    match faults {
+    Probe::plain(match faults {
         None => replay_sharded(sim, prepared, &FaultPlan::empty(), workers).0.no_rejections(),
         Some(inj) => {
             let plan = inj.plan_for(&config, prepared.duration_s());
             let (outcome, summary) = replay_sharded(sim, prepared, &plan, workers);
             outcome.no_rejections() && inj.admits(&summary)
         }
-    }
+    })
 }
 
 /// Baseline-only sizing under the **sharded** replay semantics:
@@ -87,15 +91,17 @@ pub fn right_size_baseline_only_prepared_sharded(
     })
 }
 
-/// Mixed-cluster sizing under the sharded replay semantics; see
-/// [`right_size_baseline_only_prepared_sharded`] for the knobs and
-/// [`crate::sizing::right_size_mixed_prepared`] for the search itself.
+/// Both searches under the sharded replay semantics, with `n0` searched
+/// once: the baseline-only count
+/// ([`right_size_baseline_only_prepared_sharded`]) and the mixed plan it
+/// seeds. See [`right_size_baseline_only_prepared_sharded`] for the
+/// knobs and [`crate::sizing::right_size_prepared`] for the searches.
 ///
 /// # Errors
 ///
 /// Returns [`SizingError::Infeasible`] as the unsharded search does.
 #[allow(clippy::too_many_arguments)]
-pub fn right_size_mixed_prepared_sharded(
+pub fn right_size_prepared_sharded(
     prepared: &PreparedTrace,
     prepared_baseline: &PreparedTrace,
     baseline_shape: ServerShape,
@@ -104,7 +110,7 @@ pub fn right_size_mixed_prepared_sharded(
     faults: Option<&FaultInjection<'_>>,
     shards: usize,
     workers: usize,
-) -> Result<ClusterPlan, SizingError> {
+) -> Result<(u32, ClusterPlan), SizingError> {
     let faults = faults.filter(|f| !f.model.is_none());
     let n0 = right_size_baseline_only_prepared_sharded(
         prepared_baseline,
@@ -115,9 +121,10 @@ pub fn right_size_mixed_prepared_sharded(
         workers,
     )?;
     let mut sim = ShardedSim::new(ClusterConfig::baseline_only(0), policy, shards);
-    mixed_search(n0, baseline_shape, green_shape, |config| {
+    let plan = mixed_search(n0, baseline_shape, green_shape, |config| {
         feasible_sharded(&mut sim, prepared, config, faults, workers)
-    })
+    })?;
+    Ok((n0, plan))
 }
 
 #[cfg(test)]
@@ -212,7 +219,7 @@ mod tests {
         )
         .unwrap();
         for shards in [2usize, 4] {
-            let sharded = right_size_mixed_prepared_sharded(
+            let (_, sharded) = right_size_prepared_sharded(
                 &prepared,
                 &prepared_baseline,
                 ServerShape::baseline_gen3(),

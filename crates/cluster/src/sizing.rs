@@ -6,12 +6,14 @@
 //! baseline SKUs with GreenSKUs until no further replacement is
 //! possible; VMs that cannot adopt the GreenSKU pin the residual
 //! baseline pool. Both steps are monotone feasibility searches, so they
-//! run as binary searches over simulator replays.
+//! run as binary searches over simulator replays. Fault-free searches
+//! on one indexed simulator answer most probes from the placement
+//! high-water mark of a replay they already ran (DESIGN.md §15).
 
 use gsf_maintenance::{FaultModel, PoolDevices};
 use gsf_vmalloc::{
-    AllocationSim, ClusterConfig, FaultPlan, PlacementPolicy, PreparedTrace, ServerShape,
-    VmTransform,
+    AllocationSim, ClusterConfig, FaultPlan, HighWaterMarks, PlacementPolicy, PreparedTrace,
+    ServerShape, VmTransform,
 };
 use gsf_workloads::Trace;
 use serde::{Deserialize, Serialize};
@@ -107,21 +109,46 @@ impl fmt::Display for SizingError {
 
 impl std::error::Error for SizingError {}
 
+/// One feasibility probe's answer to a search skeleton.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Probe {
+    /// Whether the candidate configuration hosts the trace.
+    pub(crate) feasible: bool,
+    /// The replay's placement high-water marks when the probe is
+    /// exact — fault-free on one unsharded, indexed simulator — so the
+    /// skeletons may answer other configurations from them
+    /// (DESIGN.md §15). `None` keeps the plain binary search, probe for
+    /// probe.
+    pub(crate) marks: Option<HighWaterMarks>,
+}
+
+impl Probe {
+    /// A probe that reports feasibility only.
+    pub(crate) fn plain(feasible: bool) -> Self {
+        Self { feasible, marks: None }
+    }
+}
+
 /// Feasibility probe on the prepared replay engine: the plan is built
-/// once per sizing call and replayed across every probe.
+/// once per sizing call and replayed across every probe. Fault-free
+/// probes report their high-water marks when `exact`.
 fn feasible_prepared(
     sim: &mut AllocationSim,
     prepared: &PreparedTrace,
     config: ClusterConfig,
     faults: Option<&FaultInjection<'_>>,
-) -> bool {
+    exact: bool,
+) -> Probe {
     sim.reset(config);
     match faults {
-        None => sim.replay_prepared(prepared).no_rejections(),
+        None => Probe {
+            feasible: sim.replay_prepared(prepared).no_rejections(),
+            marks: exact.then(|| sim.high_water_marks()),
+        },
         Some(inj) => {
             let plan = inj.plan_for(&config, prepared.duration_s());
             let (outcome, summary) = sim.replay_prepared_faulted(prepared, &plan);
-            outcome.no_rejections() && inj.admits(&summary)
+            Probe::plain(outcome.no_rejections() && inj.admits(&summary))
         }
     }
 }
@@ -134,16 +161,16 @@ fn feasible_unprepared(
     transform: &VmTransform<'_>,
     config: ClusterConfig,
     faults: Option<&FaultInjection<'_>>,
-) -> bool {
+) -> Probe {
     sim.reset(config);
-    match faults {
+    Probe::plain(match faults {
         None => sim.replay_unprepared(trace, transform).no_rejections(),
         Some(inj) => {
             let plan = inj.plan_for(&config, trace.duration_s());
             let (outcome, summary) = sim.replay_faulted_unprepared(trace, transform, &plan);
             outcome.no_rejections() && inj.admits(&summary)
         }
-    }
+    })
 }
 
 /// Smallest `n` in `[lo, hi]` with `pred(n)` true, assuming monotone
@@ -151,13 +178,15 @@ fn feasible_unprepared(
 fn binary_search_min(lo: u32, hi: u32, mut pred: impl FnMut(u32) -> bool) -> Option<u32> {
     // An empty range has no feasible point; without this guard the
     // search would return `Some(lo)` without ever evaluating `pred(lo)`.
-    if lo > hi {
+    if lo > hi || !pred(hi) {
         return None;
     }
-    if !pred(hi) {
-        return None;
-    }
-    let (mut lo, mut hi) = (lo, hi);
+    Some(bisect(lo, hi, pred))
+}
+
+/// Smallest `n` in `[lo, hi]` with `pred(n)` true, given that `pred(hi)`
+/// holds (and is not asked again).
+fn bisect(mut lo: u32, mut hi: u32, mut pred: impl FnMut(u32) -> bool) -> u32 {
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         if pred(mid) {
@@ -166,18 +195,44 @@ fn binary_search_min(lo: u32, hi: u32, mut pred: impl FnMut(u32) -> bool) -> Opt
             lo = mid + 1;
         }
     }
-    Some(lo)
+    lo
+}
+
+/// Smallest baseline-pool count in `[lo, hi]` with a feasible probe —
+/// the dimension both skeletons search — plus the marks of the first
+/// probe (the one at `hi`).
+///
+/// A feasible exact probe at `hi` settles the whole range
+/// (DESIGN.md §15): every count at or above its baseline mark replays
+/// it event for event, and every count `n` below it rejects the VM that
+/// opened server `n`. A probe without marks is bisected as
+/// [`binary_search_min`] does.
+fn min_baseline_count(
+    lo: u32,
+    hi: u32,
+    mut probe: impl FnMut(u32) -> Probe,
+) -> (Option<u32>, Option<HighWaterMarks>) {
+    if lo > hi {
+        return (None, None);
+    }
+    let top = probe(hi);
+    let found = match (top.feasible, top.marks) {
+        (false, _) => None,
+        (true, Some(marks)) => Some(marks.baseline.max(lo)),
+        (true, None) => Some(bisect(lo, hi, |n| probe(n).feasible)),
+    };
+    (found, top.marks)
 }
 
 /// The baseline-only search skeleton: peak-demand lower bound, 4× upper
 /// bound (minimum 8), binary search over `probe`. The probe captures
 /// its own simulator (indexed, linear, or sharded — the skeleton is
 /// engine-agnostic) and answers whether one candidate configuration
-/// hosts the trace.
+/// hosts the trace; an exact probe answers with the bound probe alone.
 pub(crate) fn baseline_search(
     peak_demand: (u64, f64),
     baseline_shape: ServerShape,
-    mut probe: impl FnMut(ClusterConfig) -> bool,
+    mut probe: impl FnMut(ClusterConfig) -> Probe,
 ) -> Result<u32, SizingError> {
     let (peak_cores, peak_mem) = peak_demand;
     let by_cores = peak_cores.div_ceil(u64::from(baseline_shape.cores));
@@ -190,17 +245,26 @@ pub(crate) fn baseline_search(
         green_count: 0,
         green_shape: ServerShape::greensku(),
     };
-    binary_search_min(lower, bound, |n| probe(config(n))).ok_or(SizingError::Infeasible { bound })
+    min_baseline_count(lower, bound, |n| probe(config(n)))
+        .0
+        .ok_or(SizingError::Infeasible { bound })
 }
 
 /// The mixed-cluster search skeleton given a right-sized baseline-only
 /// count `n0`: fewest baseline servers first (with an adaptively
 /// doubling green cap), then fewest GreenSKUs.
+///
+/// With exact probes each step costs at most one replay, except the
+/// GreenSKU search below the green mark (DESIGN.md §15): a fault-free
+/// green pool evolves the same whatever the baseline count, so a replay
+/// whose green mark stays below the cap repeats at every larger cap,
+/// and a GreenSKU count at or above the mark repeats the feasible
+/// `(b_min, green_cap)` replay.
 pub(crate) fn mixed_search(
     n0: u32,
     baseline_shape: ServerShape,
     green_shape: ServerShape,
-    mut probe: impl FnMut(ClusterConfig) -> bool,
+    mut probe: impl FnMut(ClusterConfig) -> Probe,
 ) -> Result<ClusterPlan, SizingError> {
     // A green server is at least as large as a baseline server in both
     // dimensions for the standard shapes; scale the green cap by the
@@ -218,31 +282,34 @@ pub(crate) fn mixed_search(
         green_count: g,
         green_shape,
     };
+    // Whether an exact replay shows that no larger cap changes anything.
+    let below_cap = |marks: Option<HighWaterMarks>, cap: u32| marks.is_some_and(|m| m.green < cap);
 
     // Fewest baseline servers first (the residual pool for non-adopting
     // and full-node VMs). When even the full baseline pool rejects at
     // the current green cap, the cap itself is the constraint (large
     // scaling factors, packing anomalies) — double it and retry.
-    let mut b_min = loop {
-        let found = binary_search_min(0, n0, |b| probe(config(b, green_cap)));
+    let (mut b_min, mut marks) = loop {
+        let (found, marks) = min_baseline_count(0, n0, |b| probe(config(b, green_cap)));
         if let Some(b) = found {
-            break b;
+            break (b, marks);
         }
-        if green_cap >= cap_limit {
-            return Err(SizingError::Infeasible { bound: n0 + green_cap });
+        if green_cap >= cap_limit || below_cap(marks, green_cap) {
+            return Err(SizingError::Infeasible { bound: n0 + cap_limit });
         }
         green_cap = green_cap.saturating_mul(2).min(cap_limit);
     };
     // A capped green pool can also pin baseline servers a larger pool
     // would free; keep doubling while that shrinks the baseline count.
-    while b_min > 0 && green_cap < cap_limit {
+    while b_min > 0 && green_cap < cap_limit && !below_cap(marks, green_cap) {
         let doubled = green_cap.saturating_mul(2).min(cap_limit);
-        match binary_search_min(0, b_min - 1, |b| probe(config(b, doubled))) {
-            Some(b) => {
+        match min_baseline_count(0, b_min - 1, |b| probe(config(b, doubled))) {
+            (Some(b), doubled_marks) => {
                 green_cap = doubled;
                 b_min = b;
+                marks = doubled_marks;
             }
-            None => break,
+            (None, _) => break,
         }
     }
     // ...then the fewest GreenSKUs given that baseline pool. The cap
@@ -250,8 +317,10 @@ pub(crate) fn mixed_search(
     // probes are deterministic, so this search cannot come up empty —
     // but report Infeasible rather than panicking if that invariant is
     // ever broken.
-    let g_min = binary_search_min(0, green_cap, |g| probe(config(b_min, g)))
-        .ok_or(SizingError::Infeasible { bound: n0 + green_cap })?;
+    let g_min = binary_search_min(0, green_cap, |g| {
+        marks.is_some_and(|m| g >= m.green) || probe(config(b_min, g)).feasible
+    })
+    .ok_or(SizingError::Infeasible { bound: n0 + green_cap })?;
     Ok(ClusterPlan { baseline: b_min, green: g_min })
 }
 
@@ -310,11 +379,12 @@ pub fn right_size_baseline_only_prepared(
 }
 
 /// [`right_size_baseline_only_prepared`] with server selection through
-/// the linear reference scan instead of the placement index. Everything
-/// else (prepared engine, probes, bounds) is identical, so comparing
-/// this against the indexed search isolates the selection path alone —
-/// the `index_equivalence` suite and the `ablation_indexed_placement`
-/// bench both lean on that.
+/// the linear reference scan instead of the placement index. The
+/// prepared engine and the bounds are the same; as a reference it reads
+/// no high-water marks and bisects with a replay per probe, so
+/// comparing it against the indexed search checks the selection path
+/// and the mark shortcut together — the `index_equivalence` suite leans
+/// on that.
 ///
 /// # Errors
 ///
@@ -341,7 +411,7 @@ fn baseline_only_prepared_impl(
         sim = sim.with_linear_selection();
     }
     baseline_search(prepared.peak_demand(), baseline_shape, |config| {
-        feasible_prepared(&mut sim, prepared, config, faults)
+        feasible_prepared(&mut sim, prepared, config, faults, !linear_selection)
     })
 }
 
@@ -439,6 +509,27 @@ pub fn right_size_mixed_prepared(
     policy: PlacementPolicy,
     faults: Option<&FaultInjection<'_>>,
 ) -> Result<ClusterPlan, SizingError> {
+    right_size_prepared(prepared, prepared_baseline, baseline_shape, green_shape, policy, faults)
+        .map(|(_, plan)| plan)
+}
+
+/// Both §V searches over already-prepared plans, with `n0` searched
+/// once: returns the baseline-only count
+/// ([`right_size_baseline_only_prepared`] on `prepared_baseline`) and
+/// the mixed plan it seeds ([`right_size_mixed_prepared`]), for callers
+/// that need the two together, as the pipeline does.
+///
+/// # Errors
+///
+/// Returns [`SizingError::Infeasible`] as the plain search does.
+pub fn right_size_prepared(
+    prepared: &PreparedTrace,
+    prepared_baseline: &PreparedTrace,
+    baseline_shape: ServerShape,
+    green_shape: ServerShape,
+    policy: PlacementPolicy,
+    faults: Option<&FaultInjection<'_>>,
+) -> Result<(u32, ClusterPlan), SizingError> {
     mixed_prepared_impl(
         prepared,
         prepared_baseline,
@@ -474,6 +565,7 @@ pub fn right_size_mixed_prepared_linear(
         faults,
         true,
     )
+    .map(|(_, plan)| plan)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -485,7 +577,7 @@ fn mixed_prepared_impl(
     policy: PlacementPolicy,
     faults: Option<&FaultInjection<'_>>,
     linear_selection: bool,
-) -> Result<ClusterPlan, SizingError> {
+) -> Result<(u32, ClusterPlan), SizingError> {
     let faults = faults.filter(|f| !f.model.is_none());
     let n0 = baseline_only_prepared_impl(
         prepared_baseline,
@@ -498,9 +590,10 @@ fn mixed_prepared_impl(
     if linear_selection {
         sim = sim.with_linear_selection();
     }
-    mixed_search(n0, baseline_shape, green_shape, |config| {
-        feasible_prepared(&mut sim, prepared, config, faults)
-    })
+    let plan = mixed_search(n0, baseline_shape, green_shape, |config| {
+        feasible_prepared(&mut sim, prepared, config, faults, !linear_selection)
+    })?;
+    Ok((n0, plan))
 }
 
 /// Reference mixed sizing on the unprepared replay engine with linear
@@ -803,6 +896,207 @@ mod tests {
         assert_eq!(calls, 0);
         // One-past inverted and far-inverted ranges alike.
         assert_eq!(binary_search_min(u32::MAX, 0, |_| true), None);
+    }
+
+    /// A synthetic two-pool fleet answering probes as a fault-free
+    /// replay would: `green` GreenSKUs host every adopting VM, each
+    /// GreenSKU short of that pushes `overflow` baseline servers' worth
+    /// of VMs onto the baseline pool, and `baseline` servers host the
+    /// baseline-only VMs.
+    #[derive(Debug, Clone, Copy)]
+    struct Fleet {
+        baseline: u32,
+        green: u32,
+        overflow: u32,
+    }
+
+    impl Fleet {
+        fn baseline_needed(&self, green_count: u32) -> u32 {
+            self.baseline + self.green.saturating_sub(green_count) * self.overflow
+        }
+
+        /// The exact probe: feasibility plus the marks the replay leaves.
+        fn exact(&self, c: ClusterConfig) -> Probe {
+            let need = self.baseline_needed(c.green_count);
+            Probe {
+                feasible: c.baseline_count >= need,
+                marks: Some(HighWaterMarks {
+                    baseline: need.min(c.baseline_count),
+                    green: self.green.min(c.green_count),
+                }),
+            }
+        }
+    }
+
+    /// Equal shapes, so the initial green cap of an `n0 = 10` search is
+    /// 16 and its limit 1024.
+    const SHAPE: ServerShape = ServerShape { cores: 64, mem_gb: 256.0 };
+    const N0: u32 = 10;
+    const FLEETS: [Fleet; 5] = [
+        // Green pool well under the cap, baseline-only VMs present.
+        Fleet { baseline: 3, green: 5, overflow: 1 },
+        // Infeasible at caps 16 and 32; the cap doubles to 64.
+        Fleet { baseline: 3, green: 40, overflow: 1 },
+        // The green pool fills cap 16; doubling frees baseline servers.
+        Fleet { baseline: 2, green: 20, overflow: 1 },
+        // All green.
+        Fleet { baseline: 0, green: 12, overflow: 2 },
+        // Baseline-only VMs alone exceed n0: infeasible at every cap.
+        Fleet { baseline: 11, green: 4, overflow: 1 },
+    ];
+
+    /// The search skeletons as they stood before high-water marks, kept
+    /// verbatim as the reference a probe without marks must reproduce.
+    fn reference_baseline_search(
+        peak_demand: (u64, f64),
+        baseline_shape: ServerShape,
+        mut probe: impl FnMut(ClusterConfig) -> bool,
+    ) -> Result<u32, SizingError> {
+        let (peak_cores, peak_mem) = peak_demand;
+        let by_cores = peak_cores.div_ceil(u64::from(baseline_shape.cores));
+        let by_mem = (peak_mem / baseline_shape.mem_gb).ceil() as u64;
+        let lower = by_cores.max(by_mem).max(1) as u32;
+        let bound = lower.saturating_mul(4).max(8);
+        let config = |n: u32| ClusterConfig {
+            baseline_count: n,
+            baseline_shape,
+            green_count: 0,
+            green_shape: ServerShape::greensku(),
+        };
+        binary_search_min(lower, bound, |n| probe(config(n)))
+            .ok_or(SizingError::Infeasible { bound })
+    }
+
+    fn reference_mixed_search(
+        n0: u32,
+        baseline_shape: ServerShape,
+        green_shape: ServerShape,
+        mut probe: impl FnMut(ClusterConfig) -> bool,
+    ) -> Result<ClusterPlan, SizingError> {
+        let cap_ratio = (f64::from(baseline_shape.cores) / f64::from(green_shape.cores))
+            .max(baseline_shape.mem_gb / green_shape.mem_gb);
+        let mut green_cap = ((f64::from(n0) * cap_ratio * 1.6).ceil() as u32).max(8);
+        let cap_limit = green_cap.saturating_mul(64);
+        let config = |b: u32, g: u32| ClusterConfig {
+            baseline_count: b,
+            baseline_shape,
+            green_count: g,
+            green_shape,
+        };
+        let mut b_min = loop {
+            let found = binary_search_min(0, n0, |b| probe(config(b, green_cap)));
+            if let Some(b) = found {
+                break b;
+            }
+            if green_cap >= cap_limit {
+                return Err(SizingError::Infeasible { bound: n0 + green_cap });
+            }
+            green_cap = green_cap.saturating_mul(2).min(cap_limit);
+        };
+        while b_min > 0 && green_cap < cap_limit {
+            let doubled = green_cap.saturating_mul(2).min(cap_limit);
+            match binary_search_min(0, b_min - 1, |b| probe(config(b, doubled))) {
+                Some(b) => {
+                    green_cap = doubled;
+                    b_min = b;
+                }
+                None => break,
+            }
+        }
+        let g_min = binary_search_min(0, green_cap, |g| probe(config(b_min, g)))
+            .ok_or(SizingError::Infeasible { bound: n0 + green_cap })?;
+        Ok(ClusterPlan { baseline: b_min, green: g_min })
+    }
+
+    #[test]
+    fn exact_probe_answers_the_baseline_search_from_the_bound_probe_alone() {
+        // Peak demand 640 cores: lower bound 10, search bound 40.
+        let peak = (640, 0.0);
+        for needed in [4u32, 10, 23, 40, 41] {
+            let fleet = Fleet { baseline: needed, green: 0, overflow: 0 };
+            let mut calls = Vec::new();
+            let got = baseline_search(peak, SHAPE, |c| {
+                calls.push(c.baseline_count);
+                fleet.exact(c)
+            });
+            let want = reference_baseline_search(peak, SHAPE, |c| fleet.exact(c).feasible);
+            assert_eq!(got, want, "needed {needed}");
+            assert_eq!(calls, [40], "needed {needed}");
+        }
+    }
+
+    #[test]
+    fn green_mark_under_the_cap_skips_every_doubled_cap() {
+        for fleet in FLEETS {
+            let mut exact_caps = Vec::new();
+            let got = mixed_search(N0, SHAPE, SHAPE, |c| {
+                exact_caps.push(c.green_count);
+                fleet.exact(c)
+            });
+            let mut plain_calls = 0usize;
+            let want = reference_mixed_search(N0, SHAPE, SHAPE, |c| {
+                plain_calls += 1;
+                fleet.exact(c).feasible
+            });
+            assert_eq!(got, want, "{fleet:?}");
+            assert!(exact_caps.len() < plain_calls, "{fleet:?}: {exact_caps:?}");
+        }
+        // The first fleet's plain search probes cap 32 to learn that it
+        // frees no baseline server; its green pool (5) never reaches the
+        // initial cap (16), so the exact search stays at 16 and below.
+        let fleet = FLEETS[0];
+        let mut plain_caps = Vec::new();
+        reference_mixed_search(N0, SHAPE, SHAPE, |c| {
+            plain_caps.push(c.green_count);
+            fleet.exact(c).feasible
+        })
+        .unwrap();
+        assert!(plain_caps.contains(&32), "{plain_caps:?}");
+        let mut exact_caps = Vec::new();
+        mixed_search(N0, SHAPE, SHAPE, |c| {
+            exact_caps.push(c.green_count);
+            fleet.exact(c)
+        })
+        .unwrap();
+        assert!(exact_caps.iter().all(|&g| g <= 16), "{exact_caps:?}");
+        // One replay at (n0, cap) settles the baseline pool; the green
+        // search replays only below the green mark.
+        assert_eq!(exact_caps[0], 16);
+        assert!(exact_caps[1..].iter().all(|&g| g < fleet.green), "{exact_caps:?}");
+    }
+
+    #[test]
+    fn probes_without_marks_keep_the_plain_search_call_for_call() {
+        for fleet in FLEETS {
+            let mut got = Vec::new();
+            let got_plan = mixed_search(N0, SHAPE, SHAPE, |c| {
+                got.push(c);
+                Probe::plain(fleet.exact(c).feasible)
+            });
+            let mut want = Vec::new();
+            let want_plan = reference_mixed_search(N0, SHAPE, SHAPE, |c| {
+                want.push(c);
+                fleet.exact(c).feasible
+            });
+            assert_eq!(got_plan, want_plan, "{fleet:?}");
+            assert_eq!(got, want, "{fleet:?}");
+        }
+        let peak = (640, 0.0);
+        for needed in [4u32, 23, 41] {
+            let fleet = Fleet { baseline: needed, green: 0, overflow: 0 };
+            let mut got = Vec::new();
+            let got_n = baseline_search(peak, SHAPE, |c| {
+                got.push(c);
+                Probe::plain(fleet.exact(c).feasible)
+            });
+            let mut want = Vec::new();
+            let want_n = reference_baseline_search(peak, SHAPE, |c| {
+                want.push(c);
+                fleet.exact(c).feasible
+            });
+            assert_eq!(got_n, want_n);
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

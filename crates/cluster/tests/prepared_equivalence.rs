@@ -13,10 +13,15 @@
 //! `FaultSummary` — across random traces, random cluster shapes,
 //! hand-built fault plans, and sampled AFR-model plans, and that the
 //! sizing searches built on top of them return identical cluster plans.
+//! The production searches also answer fault-free probes from the
+//! placement high-water mark instead of replaying (DESIGN.md §15);
+//! `sizing_shortcuts_match_the_plain_search` is their differential gate
+//! against the unprepared reference's plain binary search.
 
 use gsf_cluster::sizing::{
-    right_size_baseline_only_faulted, right_size_baseline_only_unprepared,
-    right_size_mixed_faulted, right_size_mixed_unprepared, FaultInjection,
+    right_size_baseline_only_faulted, right_size_baseline_only_prepared,
+    right_size_baseline_only_unprepared, right_size_mixed_faulted, right_size_mixed_prepared,
+    right_size_mixed_unprepared, right_size_prepared, FaultInjection,
 };
 use gsf_maintenance::{FaultModel, PoolDevices};
 use gsf_vmalloc::{
@@ -204,6 +209,122 @@ proptest! {
                     faults,
                 )
             );
+        }
+    }
+}
+
+/// The extra VM a sizing case adds to `random_trace`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ExtraVm {
+    None,
+    /// Larger than every server at every scaling factor: the `n0`
+    /// search fails.
+    Oversized,
+    /// An ordinary VM that the mixed transform places at a size larger
+    /// than every server: `n0` is found and the mixed search fails at
+    /// every green cap.
+    InflatedWhenMixed,
+}
+
+/// `random_trace` plus `extra`, whose id is `n_vms`.
+fn sizing_trace(n_vms: usize, seed: u64, full_node_pct: f64, extra: ExtraVm) -> Trace {
+    let trace = random_trace(n_vms, seed, full_node_pct);
+    let cores = match extra {
+        ExtraVm::None => return trace,
+        ExtraVm::Oversized => 512,
+        ExtraVm::InflatedWhenMixed => 16,
+    };
+    let id = n_vms as u64;
+    let mut vms = trace.vms().to_vec();
+    vms.push(VmSpec {
+        id,
+        cores,
+        mem_gb: f64::from(cores) * 8.0,
+        app_index: 0,
+        generation: ServerGeneration::Gen3,
+        full_node: false,
+        max_mem_util: 0.5,
+        avg_cpu_util: 0.2,
+    });
+    let mut events = trace.events().to_vec();
+    events.push(VmEvent { time_s: 500.0, kind: VmEventKind::Arrival, vm_id: id });
+    Trace::new(trace.duration_s(), vms, events)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Production sizing (prepared engine, indexed selection, answers
+    /// from the high-water mark) against the unprepared reference's
+    /// plain binary search: every policy, scaling factors from 1.0 to
+    /// 3.0 (3.0 makes the green cap double), full-node shares of 0, 5
+    /// and 30 %, a GreenSKU smaller than the baseline server, and an
+    /// extra VM that makes either the `n0` search or only the mixed
+    /// search fail. `Ok` and `Err` must match.
+    #[test]
+    fn sizing_shortcuts_match_the_plain_search(
+        n_vms in 1usize..40,
+        seed in 0u64..400,
+        draw in 0usize..3,
+    ) {
+        let extra = [ExtraVm::None, ExtraVm::Oversized, ExtraVm::InflatedWhenMixed][draw];
+        let baseline = ServerShape::baseline_gen3();
+        let small_green = ServerShape { cores: 48, mem_gb: 384.0 };
+        let baseline_transform = |vm: &VmSpec| PlacementRequest::baseline_only(vm);
+        let inflated_id = n_vms as u64;
+        for full_node_pct in [0.0, 0.05, 0.3] {
+            let trace = sizing_trace(n_vms, seed, full_node_pct, extra);
+            let prepared_baseline = PreparedTrace::new(&trace, &baseline_transform);
+            for policy in
+                [PlacementPolicy::BestFit, PlacementPolicy::FirstFit, PlacementPolicy::WorstFit]
+            {
+                let n0 = right_size_baseline_only_prepared(&prepared_baseline, baseline, policy, None);
+                prop_assert_eq!(
+                    n0.clone(),
+                    right_size_baseline_only_unprepared(&trace, baseline, policy, None)
+                );
+                for factor in [1.0, 1.25, 2.0, 3.0] {
+                    let transform = |vm: &VmSpec| {
+                        if vm.full_node {
+                            PlacementRequest::baseline_only(vm)
+                        } else if extra == ExtraVm::InflatedWhenMixed && vm.id == inflated_id {
+                            let inflated = VmSpec { cores: 512, mem_gb: 4096.0, ..*vm };
+                            PlacementRequest::prefer_green(&inflated, factor)
+                        } else {
+                            PlacementRequest::prefer_green(vm, factor)
+                        }
+                    };
+                    let prepared = PreparedTrace::new(&trace, &transform);
+                    for green in [ServerShape::greensku(), small_green] {
+                        let plan = right_size_mixed_prepared(
+                            &prepared,
+                            &prepared_baseline,
+                            baseline,
+                            green,
+                            policy,
+                            None,
+                        );
+                        let reference = right_size_mixed_unprepared(
+                            &trace, &transform, baseline, green, policy, None,
+                        );
+                        prop_assert_eq!(&plan, &reference, "{} x{} {:?}", policy, factor, green);
+                        if extra == ExtraVm::InflatedWhenMixed {
+                            prop_assert!(n0.is_ok() && plan.is_err(), "{:?} {:?}", n0, plan);
+                        }
+                        prop_assert_eq!(
+                            right_size_prepared(
+                                &prepared,
+                                &prepared_baseline,
+                                baseline,
+                                green,
+                                policy,
+                                None,
+                            ),
+                            n0.clone().and_then(|n0| plan.map(|plan| (n0, plan)))
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -15,7 +15,7 @@
 //! 1-shard-parallel.
 
 use gsf_cluster::sharded::{
-    replay_sharded, right_size_baseline_only_prepared_sharded, right_size_mixed_prepared_sharded,
+    replay_sharded, right_size_baseline_only_prepared_sharded, right_size_prepared_sharded,
 };
 use gsf_maintenance::{FaultModel, PoolDevices};
 use gsf_vmalloc::{
@@ -222,7 +222,7 @@ proptest! {
             let n0_serial = right_size_baseline_only_prepared_sharded(
                 &prepared_baseline, shape, PlacementPolicy::BestFit, faults, shards, 1,
             );
-            let plan_serial = right_size_mixed_prepared_sharded(
+            let sized_serial = right_size_prepared_sharded(
                 &prepared_mixed, &prepared_baseline, shape, green,
                 PlacementPolicy::BestFit, faults, shards, 1,
             );
@@ -234,11 +234,11 @@ proptest! {
                     &n0_serial
                 );
                 prop_assert_eq!(
-                    &right_size_mixed_prepared_sharded(
+                    &right_size_prepared_sharded(
                         &prepared_mixed, &prepared_baseline, shape, green,
                         PlacementPolicy::BestFit, faults, shards, workers,
                     ),
-                    &plan_serial
+                    &sized_serial
                 );
             }
         }

@@ -13,14 +13,8 @@ use gsf_carbon::{Assessment, ModelParams};
 use gsf_cluster::{
     buffer::GrowthBufferPolicy,
     savings::savings_fraction,
-    sharded::{
-        replay_sharded, right_size_baseline_only_prepared_sharded,
-        right_size_mixed_prepared_sharded,
-    },
-    sizing::{
-        right_size_baseline_only_prepared, right_size_mixed_prepared, AvailabilitySlo, ClusterPlan,
-        FaultInjection,
-    },
+    sharded::{replay_sharded, right_size_prepared_sharded},
+    sizing::{right_size_prepared, AvailabilitySlo, ClusterPlan, FaultInjection},
 };
 use gsf_maintenance::{FaultModel, PoolDevices};
 use gsf_vmalloc::{
@@ -554,15 +548,7 @@ impl GsfPipeline {
             // deterministic for any worker count; only `shards`
             // changes what is computed.
             let workers = gsf_cluster::parallel::default_workers();
-            let n0 = right_size_baseline_only_prepared_sharded(
-                prepared_baseline,
-                baseline_shape,
-                self.config.policy,
-                faults,
-                shards,
-                workers,
-            )?;
-            let plan = right_size_mixed_prepared_sharded(
+            let (n0, plan) = right_size_prepared_sharded(
                 prepared,
                 prepared_baseline,
                 baseline_shape,
@@ -593,13 +579,7 @@ impl GsfPipeline {
                 faults: fault_summary,
             });
         }
-        let n0 = right_size_baseline_only_prepared(
-            prepared_baseline,
-            baseline_shape,
-            self.config.policy,
-            faults,
-        )?;
-        let plan = right_size_mixed_prepared(
+        let (n0, plan) = right_size_prepared(
             prepared,
             prepared_baseline,
             baseline_shape,

@@ -39,5 +39,7 @@ pub use policy::PlacementPolicy;
 pub use prepared::{PreparedTrace, PreparedTraceBuilder};
 pub use server::ServerState;
 pub use shard::{merge_outcomes, ShardPlan, ShardTask, ShardedSim, SHARD_ROUTING_VERSION};
-pub use simulator::{AllocationSim, PlacementRequest, SimOutcome, TargetPool, VmTransform};
+pub use simulator::{
+    AllocationSim, HighWaterMarks, PlacementRequest, SimOutcome, TargetPool, VmTransform,
+};
 pub use usage::UsageLedger;

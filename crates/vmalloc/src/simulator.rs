@@ -147,6 +147,23 @@ impl SimOutcome {
     }
 }
 
+/// Per-pool placement high-water marks: one past the highest server
+/// index any placement chose since the last [`AllocationSim::reset`]
+/// (0 for a pool nothing was placed on).
+///
+/// In a fault-free replay empty servers are identical and every policy
+/// takes a fitting server below the mark before an empty one above it,
+/// so with the other pool unchanged, a replay on any `n >= mark`
+/// servers of a pool repeats this one event for event — the exactness
+/// the sizing searches build on (DESIGN.md §15).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HighWaterMarks {
+    /// Mark of the baseline pool.
+    pub baseline: u32,
+    /// Mark of the GreenSKU pool.
+    pub green: u32,
+}
+
 /// The allocation simulator.
 #[derive(Debug)]
 pub struct AllocationSim {
@@ -154,6 +171,9 @@ pub struct AllocationSim {
     green: Vec<ServerState>,
     policy: PlacementPolicy,
     snapshot_interval_s: f64,
+    /// Placement high-water marks since the last reset; read by
+    /// [`Self::high_water_marks`], never part of a [`SimOutcome`].
+    high_water: HighWaterMarks,
     /// Free-capacity index per pool; `None` selects through the linear
     /// reference scan (and skips all index maintenance).
     baseline_index: Option<PlacementIndex>,
@@ -232,6 +252,7 @@ impl AllocationSim {
             green,
             policy,
             snapshot_interval_s: 3600.0,
+            high_water: HighWaterMarks::default(),
             baseline_index,
             green_index,
             baseline_shape: config.baseline_shape,
@@ -257,6 +278,12 @@ impl AllocationSim {
     pub fn with_snapshot_interval(mut self, seconds: f64) -> Self {
         self.snapshot_interval_s = seconds.max(1.0);
         self
+    }
+
+    /// The per-pool placement high-water marks since the last
+    /// [`Self::reset`] (or construction).
+    pub fn high_water_marks(&self) -> HighWaterMarks {
+        self.high_water
     }
 
     /// Switches to the linear full-scan reference selection
@@ -291,6 +318,7 @@ impl AllocationSim {
         resize_pool(&mut self.baseline, config.baseline_count, config.baseline_shape);
         resize_pool(&mut self.green, config.green_count, config.green_shape);
         self.arena.reset();
+        self.high_water = HighWaterMarks::default();
         self.baseline_shape = config.baseline_shape;
         self.green_shape = config.green_shape;
         if let Some(index) = &mut self.baseline_index {
@@ -1221,6 +1249,7 @@ impl AllocationSim {
                 if let Some(index) = &mut self.baseline_index {
                     index.refresh(i, &self.baseline[i]);
                 }
+                self.high_water.baseline = self.high_water.baseline.max(i as u32 + 1);
             }
             Some(Placement::Green(i)) => {
                 self.green[i].place(
@@ -1235,6 +1264,7 @@ impl AllocationSim {
                 if let Some(index) = &mut self.green_index {
                     index.refresh(i, &self.green[i]);
                 }
+                self.high_water.green = self.high_water.green.max(i as u32 + 1);
             }
             None => {}
         }
@@ -1517,6 +1547,27 @@ mod tests {
             let fresh = AllocationSim::new(config, PlacementPolicy::BestFit).replay(&t, &transform);
             assert_eq!(out, fresh);
         }
+    }
+
+    #[test]
+    fn high_water_marks_track_the_highest_server_opened_since_reset() {
+        // 30 resident 8-core VMs at 1.25× (10 green cores): 12 fill a
+        // 128-core GreenSKU, 10 fill an 80-core baseline server.
+        let vms: Vec<VmSpec> = (0..30).map(|i| vm(i, 8, 32.0, false)).collect();
+        let events: Vec<VmEvent> = (0..30).map(|i| arrive(i, f64::from(i as u32))).collect();
+        let t = trace(vms, events);
+        let transform = |v: &VmSpec| PlacementRequest::prefer_green(v, 1.25);
+        let mut sim = AllocationSim::new(ClusterConfig::mixed(8, 2), PlacementPolicy::BestFit);
+        assert_eq!(sim.high_water_marks(), HighWaterMarks::default());
+        let wide = sim.replay(&t, &transform);
+        assert_eq!(sim.high_water_marks(), HighWaterMarks { baseline: 1, green: 2 });
+        sim.reset(ClusterConfig::mixed(1, 2));
+        assert_eq!(sim.high_water_marks(), HighWaterMarks::default());
+        // At the mark the replay repeats the wider cluster's exactly.
+        let at_mark = sim.replay(&t, &transform);
+        assert_eq!(at_mark.rejected, wide.rejected);
+        assert_eq!(at_mark.usage, wide.usage);
+        assert_eq!(sim.high_water_marks(), HighWaterMarks { baseline: 1, green: 2 });
     }
 
     #[test]

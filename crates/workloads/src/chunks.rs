@@ -398,7 +398,13 @@ impl<R: BufRead> TraceChunkReader<R> {
         let n_vms = read_u32(&mut self.input)? as usize;
         let n_events = read_u32(&mut self.input)? as usize;
         let expect_hash = (read_u64(&mut self.input)?, read_u64(&mut self.input)?);
-        let mut vms = Vec::with_capacity(n_vms);
+        // The counts are unverified until the chunk hash is checked:
+        // preallocate no more than a default chunk holds and let a
+        // corrupt count run into a typed error at end of input instead
+        // of requesting gigabytes up front.
+        let vm_capacity = n_vms.min(DEFAULT_CHUNK_EVENTS);
+        let event_capacity = n_events.min(DEFAULT_CHUNK_EVENTS);
+        let mut vms = Vec::with_capacity(vm_capacity);
         for _ in 0..n_vms {
             let id = read_u64(&mut self.input)?;
             let cores = read_u32(&mut self.input)?;
@@ -428,7 +434,7 @@ impl<R: BufRead> TraceChunkReader<R> {
             self.hasher.push_vm(&vm);
             vms.push(vm);
         }
-        let mut times = Vec::with_capacity(n_events);
+        let mut times = Vec::with_capacity(event_capacity);
         for _ in 0..n_events {
             let t = f64::from_bits(read_u64(&mut self.input)?);
             if !t.is_finite() {
@@ -439,7 +445,7 @@ impl<R: BufRead> TraceChunkReader<R> {
             }
             times.push(t);
         }
-        let mut kinds = Vec::with_capacity(n_events);
+        let mut kinds = Vec::with_capacity(event_capacity);
         for _ in 0..n_events {
             kinds.push(match read_u8(&mut self.input)? {
                 0 => VmEventKind::Arrival,
@@ -447,7 +453,7 @@ impl<R: BufRead> TraceChunkReader<R> {
                 d => return Err(TraceCodecError::BadDiscriminant(d).into()),
             });
         }
-        let mut events = Vec::with_capacity(n_events);
+        let mut events = Vec::with_capacity(event_capacity);
         for i in 0..n_events {
             let slot = read_u32(&mut self.input)?;
             let Some(&vm_id) = self.ids.get(slot as usize) else {
@@ -734,6 +740,31 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn inflated_chunk_counts_fail_typed_instead_of_preallocating() {
+        // The chunk header follows the 14-byte stream header and its
+        // 1-byte tag: n_vms at bytes 15..19, n_events at 19..23. The
+        // chunk hash is checked only after the whole chunk is read, so a
+        // count of u32::MAX must not size an allocation before then.
+        let buf = encode_chunked(&sample_trace(), 2);
+        for offset in [15usize, 19] {
+            let mut corrupt = buf.clone();
+            corrupt[offset..offset + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+            let mut reader = TraceChunkReader::new(&corrupt[..]).unwrap();
+            let result = loop {
+                match reader.next_chunk() {
+                    Ok(Some(_)) => continue,
+                    Ok(None) => break Ok(()),
+                    Err(e) => break Err(e),
+                }
+            };
+            assert!(
+                matches!(result, Err(TraceStreamError::Codec(_))),
+                "offset {offset}: {result:?}"
+            );
+        }
     }
 
     #[test]
