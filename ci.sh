@@ -36,32 +36,13 @@ cargo test -q --workspace
 # bit-identical; enabled models seed-deterministic): run its suite
 # explicitly so a filtered or partial test run cannot mask a drift.
 cargo test -q -p gsf-core --test fault_determinism
-# Replay-engine equivalence is equally hard: the prepared engine every
-# sizing probe and sweep point runs on must stay bit-identical to the
-# unprepared reference engine, faulted and fault-free.
-cargo test -q -p gsf-cluster --test prepared_equivalence
-# Placement-index equivalence: indexed server selection must stay
-# bit-identical to the linear reference scan across policies, fault
-# plans, reset reuse, and both sizing searches.
-cargo test -q -p gsf-cluster --test index_equivalence
-# Sharded-replay equivalence: the parallel shard driver must stay
-# bit-identical to its serial reference for every worker count (and
-# one shard must stay bit-identical to the unsharded engine), across
-# policies, shard-boundary fault plans, reset reuse, and the sharded
-# sizing searches.
-cargo test -q -p gsf-cluster --test shard_equivalence
-# Availability-layer equivalence: flat topology + repairs off must stay
-# bit-identical to the pre-repair model (signature, plans, replays,
-# sizing, reset reuse); domain faults, revivals, and retry-queue drains
-# must replay identically sharded and serial; horizon-edge events, SLO
-# monotonicity, and the Little's-law OOS consistency check live here.
-cargo test -q -p gsf-cluster --test availability_equivalence
-# Arena-storage equivalence: the slot-arena replay core must keep the
-# prepared, unprepared, and sharded engines bitwise identical across
-# policies and fault shapes, stay internally consistent (occupancy vs
-# live slots, aggregate folds) after every replay, and survive reset()
-# reuse and both sizing searches unchanged.
-cargo test -q -p gsf-cluster --test arena_equivalence
+# The differential gate: the production replay (prepared trace,
+# placement index, arena, shards) and every sizing path must stay bit
+# for bit equal to the test oracle (linear scan, BTreeMap, plain
+# bisection), faulted and fault-free, across policies, reset reuse and
+# worker counts; the high-water-mark sizing shortcuts must return the
+# oracle's plain-search answers.
+cargo test -q -p gsf-cluster --test differential
 # Allocation budget: after one warming replay the steady-state event
 # loop must not allocate per event — a 10x-larger trace must allocate
 # exactly as much as the small one. Runs under a counting global

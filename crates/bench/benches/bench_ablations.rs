@@ -12,7 +12,10 @@ use gsf_maintenance::{FipPolicy, ServerAfr};
 use gsf_perf::analytic::MmcQueue;
 use gsf_perf::des::{simulate, DesConfig, ServiceDist};
 use gsf_stats::rng::SeedFactory;
-use gsf_vmalloc::{AllocationSim, ClusterConfig, PlacementPolicy, PlacementRequest, ServerShape};
+use gsf_vmalloc::{
+    AllocationSim, ClusterConfig, FaultPlan, PlacementPolicy, PlacementRequest, PreparedTrace,
+    ServerShape,
+};
 use gsf_workloads::VmSpec;
 
 fn baseline_transform(vm: &VmSpec) -> PlacementRequest {
@@ -28,12 +31,12 @@ fn print_summary(json: &str) {
 
 /// Ablation: best-fit vs first-fit vs worst-fit packing density.
 fn ablation_placement_policy(c: &mut Criterion) {
-    let trace = bench_trace();
+    let prepared = PreparedTrace::new(&bench_trace(), &baseline_transform);
     let mut group = c.benchmark_group("ablation_placement_policy");
     for policy in [PlacementPolicy::BestFit, PlacementPolicy::FirstFit, PlacementPolicy::WorstFit] {
         // Print the quality outcome once per policy.
-        let out = AllocationSim::new(ClusterConfig::baseline_only(24), policy)
-            .replay(&trace, &baseline_transform);
+        let (out, _) = AllocationSim::new(ClusterConfig::baseline_only(24), policy)
+            .replay_prepared_faulted(&prepared, &FaultPlan::empty());
         println!(
             "[ablation] {policy}: core density {:.3}, rejected {}",
             out.metrics.baseline.mean_core_density(),
@@ -42,7 +45,7 @@ fn ablation_placement_policy(c: &mut Criterion) {
         group.bench_function(policy.to_string(), |b| {
             b.iter(|| {
                 let mut sim = AllocationSim::new(ClusterConfig::baseline_only(24), policy);
-                black_box(sim.replay(&trace, &baseline_transform))
+                black_box(sim.replay_prepared_faulted(&prepared, &FaultPlan::empty()))
             })
         });
     }
@@ -165,192 +168,6 @@ fn ablation_eval_cache(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation: prepared vs unprepared replay on the sizing path — the
-/// mixed-cluster binary search with a realistic adoption router, where
-/// the prepared engine resolves each VM's placement request once per
-/// call instead of once per event per probe.
-fn ablation_prepared_replay(c: &mut Criterion) {
-    use gsf_cluster::sizing::{right_size_mixed, right_size_mixed_unprepared};
-    use gsf_core::{GreenSkuDesign, VmRouter};
-    use std::time::Instant;
-    let trace = bench_trace();
-    let router =
-        VmRouter::new(ModelParams::default_open_source(), &GreenSkuDesign::full()).unwrap();
-    let transform = |vm: &VmSpec| router.request(vm);
-    let baseline_shape = ServerShape::baseline_gen3();
-    let green_shape = ServerShape::greensku();
-
-    // Print the A/B outcome once: identical plans, measured speedup.
-    let t0 = Instant::now();
-    let prepared_plan =
-        right_size_mixed(&trace, &transform, baseline_shape, green_shape, PlacementPolicy::BestFit)
-            .unwrap();
-    let prepared_elapsed = t0.elapsed();
-    let t1 = Instant::now();
-    let unprepared_plan = right_size_mixed_unprepared(
-        &trace,
-        &transform,
-        baseline_shape,
-        green_shape,
-        PlacementPolicy::BestFit,
-        None,
-    )
-    .unwrap();
-    let unprepared_elapsed = t1.elapsed();
-    assert_eq!(prepared_plan, unprepared_plan, "the two engines must size identically");
-    println!(
-        "[ablation] prepared sizing {:.1} ms vs unprepared {:.1} ms ({:.2}x), plan {}b+{}g",
-        prepared_elapsed.as_secs_f64() * 1e3,
-        unprepared_elapsed.as_secs_f64() * 1e3,
-        unprepared_elapsed.as_secs_f64() / prepared_elapsed.as_secs_f64(),
-        prepared_plan.baseline,
-        prepared_plan.green,
-    );
-
-    let mut group = c.benchmark_group("ablation_prepared_replay");
-    group.bench_function("prepared_sizing", |b| {
-        b.iter(|| {
-            black_box(
-                right_size_mixed(
-                    &trace,
-                    &transform,
-                    baseline_shape,
-                    green_shape,
-                    PlacementPolicy::BestFit,
-                )
-                .unwrap(),
-            )
-        })
-    });
-    group.bench_function("unprepared_sizing", |b| {
-        b.iter(|| {
-            black_box(
-                right_size_mixed_unprepared(
-                    &trace,
-                    &transform,
-                    baseline_shape,
-                    green_shape,
-                    PlacementPolicy::BestFit,
-                    None,
-                )
-                .unwrap(),
-            )
-        })
-    });
-    group.finish();
-}
-
-/// Ablation: indexed vs linear server selection at fleet scale — a
-/// single replay of the mixed-sized ≥1024-server cluster with the
-/// placement index on (production) and off (linear reference scan).
-/// The sizing searches are left out: production sizing also answers
-/// probes from the placement high-water mark (DESIGN.md §15), so an
-/// A/B against the linear reference's bisection would not isolate the
-/// index. Prints a JSON summary; `results/BENCH_pr4.json` keeps the
-/// sizing A/B recorded when the index landed.
-fn ablation_indexed_placement(c: &mut Criterion) {
-    use gsf_bench::bench_trace_fleet;
-    use gsf_cluster::sizing::right_size_mixed_prepared;
-    use gsf_vmalloc::PreparedTrace;
-    use std::time::{Duration, Instant};
-
-    // Under `cargo test` the whole body runs once; linear replay at
-    // fleet scale is slow, so test mode exercises the same code on the
-    // small fixture and skips the JSON summary.
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let trace = if test_mode { bench_trace() } else { bench_trace_fleet() };
-    let transform = |vm: &VmSpec| {
-        if vm.full_node {
-            PlacementRequest::baseline_only(vm)
-        } else {
-            PlacementRequest::prefer_green(vm, 1.25)
-        }
-    };
-    let prepared = PreparedTrace::new(&trace, &transform);
-    let prepared_baseline = PreparedTrace::new(&trace, &baseline_transform);
-    let baseline_shape = ServerShape::baseline_gen3();
-    let green_shape = ServerShape::greensku();
-
-    let plan = right_size_mixed_prepared(
-        &prepared,
-        &prepared_baseline,
-        baseline_shape,
-        green_shape,
-        PlacementPolicy::BestFit,
-        None,
-    )
-    .unwrap();
-    if !test_mode {
-        assert!(plan.total() >= 1024, "fleet fixture must size above 1024 servers, got {plan:?}");
-    }
-
-    // A single replay of the sized cluster — the per-probe unit of work
-    // every search and sweep repeats — timed manually for the JSON
-    // artifact (best of `reps`) and registered with the iter driver
-    // below for `cargo bench` output.
-    let config = ClusterConfig {
-        baseline_count: plan.baseline,
-        baseline_shape,
-        green_count: plan.green,
-        green_shape,
-    };
-    let time_replay = |linear: bool, reps: u32| -> Duration {
-        let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
-        if linear {
-            sim = sim.with_linear_selection();
-        }
-        (0..reps)
-            .map(|_| {
-                sim.reset(config);
-                let t = Instant::now();
-                black_box(sim.replay_prepared(&prepared));
-                t.elapsed()
-            })
-            .min()
-            .unwrap()
-    };
-    let replay_indexed = time_replay(false, 5);
-    let replay_linear = time_replay(true, 3);
-    println!(
-        "[ablation] indexed replay {:.1} ms vs linear {:.1} ms ({:.2}x) at {} servers",
-        replay_indexed.as_secs_f64() * 1e3,
-        replay_linear.as_secs_f64() * 1e3,
-        replay_linear.as_secs_f64() / replay_indexed.as_secs_f64(),
-        config.baseline_count + config.green_count,
-    );
-
-    if !test_mode {
-        let json = format!(
-            "{{\n  \"bench\": \"ablation_indexed_placement\",\n  \"trace\": {{\"vms\": {}}},\n  \"plan\": {{\"baseline\": {}, \"green\": {}, \"total\": {}}},\n  \"ns_per_iter\": {{\n    \"replay_linear\": {:.0},\n    \"replay_indexed\": {:.0}\n  }},\n  \"speedup\": {{\n    \"replay\": {:.2}\n  }}\n}}\n",
-            trace.vms().len(),
-            plan.baseline,
-            plan.green,
-            plan.total(),
-            replay_linear.as_secs_f64() * 1e9,
-            replay_indexed.as_secs_f64() * 1e9,
-            replay_linear.as_secs_f64() / replay_indexed.as_secs_f64(),
-        );
-        print_summary(&json);
-    }
-
-    let mut group = c.benchmark_group("ablation_indexed_placement");
-    group.bench_function("indexed_replay", |b| {
-        let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
-        b.iter(|| {
-            sim.reset(config);
-            black_box(sim.replay_prepared(&prepared))
-        })
-    });
-    group.bench_function("linear_replay", |b| {
-        let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit).with_linear_selection();
-        b.iter(|| {
-            sim.reset(config);
-            black_box(sim.replay_prepared(&prepared))
-        })
-    });
-    group.finish();
-}
-
 /// Ablation: sharded vs unsharded fleet replay — one replay of the
 /// sized ≥1024-server cluster through the unsharded engine, the
 /// 1-shard sharded engine (its overhead budget is ≤5 %), and K-shard
@@ -362,8 +179,8 @@ fn ablation_sharded_replay(c: &mut Criterion) {
     use gsf_bench::bench_trace_fleet;
     use gsf_cluster::parallel::default_workers;
     use gsf_cluster::sharded::replay_sharded;
-    use gsf_cluster::sizing::right_size_mixed_prepared;
-    use gsf_vmalloc::{FaultPlan, PreparedTrace, ShardedSim};
+    use gsf_cluster::sizing::{right_size, MixedSearch, SizingRequest};
+    use gsf_vmalloc::ShardedSim;
     use std::time::{Duration, Instant};
 
     let test_mode = std::env::args().any(|a| a == "--test");
@@ -382,14 +199,10 @@ fn ablation_sharded_replay(c: &mut Criterion) {
 
     // Size once (unsharded) and replay that fixed cluster under every
     // engine, so the ablation isolates replay cost from sizing.
-    let plan = right_size_mixed_prepared(
-        &prepared,
-        &prepared_baseline,
-        baseline_shape,
-        green_shape,
-        PlacementPolicy::BestFit,
-        None,
-    )
+    let (_, plan) = right_size(&SizingRequest {
+        mixed: Some(MixedSearch { prepared: &prepared, green_shape }),
+        ..SizingRequest::new(&prepared_baseline, baseline_shape, PlacementPolicy::BestFit)
+    })
     .unwrap();
     let config = ClusterConfig {
         baseline_count: plan.baseline,
@@ -401,7 +214,7 @@ fn ablation_sharded_replay(c: &mut Criterion) {
 
     let unsharded_outcome = {
         let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
-        sim.replay_prepared(&prepared)
+        sim.replay_prepared_faulted(&prepared, &FaultPlan::empty()).0
     };
     let time_unsharded = |reps: u32| -> Duration {
         let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
@@ -409,7 +222,7 @@ fn ablation_sharded_replay(c: &mut Criterion) {
             .map(|_| {
                 sim.reset(config);
                 let t = Instant::now();
-                black_box(sim.replay_prepared(&prepared));
+                black_box(sim.replay_prepared_faulted(&prepared, &FaultPlan::empty()));
                 t.elapsed()
             })
             .min()
@@ -499,7 +312,7 @@ fn ablation_sharded_replay(c: &mut Criterion) {
         let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
         b.iter(|| {
             sim.reset(config);
-            black_box(sim.replay_prepared(&prepared))
+            black_box(sim.replay_prepared_faulted(&prepared, &FaultPlan::empty()))
         })
     });
     for shards in [1usize, 4] {
@@ -529,7 +342,6 @@ fn ablation_sharded_replay(c: &mut Criterion) {
 /// `results/BENCH_pr8.json`.
 fn ablation_streamed_trace(c: &mut Criterion) {
     use gsf_bench::{bench_trace_fleet, BENCH_SEED};
-    use gsf_vmalloc::PreparedTrace;
     use gsf_workloads::{
         decode_chunks, write_chunks, TraceChunkReader, TraceGenerator, TraceParams,
         DEFAULT_CHUNK_EVENTS,
@@ -662,7 +474,7 @@ fn ablation_streamed_trace(c: &mut Criterion) {
                 green_shape,
             };
             let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
-            let outcome = black_box(sim.replay_prepared(&prepared));
+            let outcome = black_box(sim.replay_prepared_faulted(&prepared, &FaultPlan::empty()));
             (outcome, digest, prepared.vm_count(), prepared.event_count(), config)
         };
         let streamed_replay = t.elapsed();
@@ -677,7 +489,7 @@ fn ablation_streamed_trace(c: &mut Criterion) {
             let hash = trace_1m.content_hash();
             let prepared = PreparedTrace::new(&trace_1m, &transform);
             let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
-            (black_box(sim.replay_prepared(&prepared)), hash)
+            (black_box(sim.replay_prepared_faulted(&prepared, &FaultPlan::empty())), hash)
         };
         let materialized_replay = t.elapsed();
         let rss_materialized_kb = peak_rss_kb();
@@ -750,254 +562,21 @@ fn ablation_streamed_trace(c: &mut Criterion) {
 /// Ablation: fresh simulator per replay vs reset-reuse (what the sizing
 /// binary searches do on every feasibility probe).
 fn ablation_sim_reuse(c: &mut Criterion) {
-    let trace = bench_trace();
+    let prepared = PreparedTrace::new(&bench_trace(), &baseline_transform);
+    let empty = FaultPlan::empty();
     let config = ClusterConfig::baseline_only(24);
     let mut group = c.benchmark_group("ablation_sim_reuse");
     group.bench_function("fresh_each_replay", |b| {
         b.iter(|| {
             let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
-            black_box(sim.replay(&trace, &baseline_transform))
+            black_box(sim.replay_prepared_faulted(&prepared, &empty))
         })
     });
     group.bench_function("reset_reuse", |b| {
         let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
         b.iter(|| {
             sim.reset(config);
-            black_box(sim.replay(&trace, &baseline_transform))
-        })
-    });
-    group.finish();
-}
-
-/// Ablation: arena-backed replay core — the per-replay unit of work
-/// every sizing probe and sweep point repeats, timed on the sized
-/// ≥1024-server/~24k-VM fleet fixture (steady-state and faulted) and
-/// on the ~1M-VM two-week streamed trace. The PR 8 engine (BTreeMap
-/// VM storage, per-event eviction `Vec`s) no longer exists to run
-/// live, so its numbers — measured on this same fixture and machine
-/// immediately before the arena rewrite landed — are recorded as
-/// constants and carried into the emitted artifact for the
-/// before/after comparison. Prints a JSON summary in the shape of
-/// `results/BENCH_pr9.json`.
-fn ablation_arena_replay(c: &mut Criterion) {
-    use gsf_bench::{bench_trace_fleet, BENCH_SEED};
-    use gsf_cluster::sizing::right_size_mixed_prepared;
-    use gsf_vmalloc::{FaultEvent, FaultKind, FaultPlan, FaultPool, PreparedTrace};
-    use gsf_workloads::{TraceChunkReader, TraceGenerator, TraceParams, DEFAULT_CHUNK_EVENTS};
-    use std::io::{BufReader, BufWriter, Write as _};
-    use std::time::{Duration, Instant};
-
-    /// PR 8 engine, best-of-reps ns on this fixture/machine (see doc
-    /// comment). 0 means "not yet measured" and suppresses the
-    /// speedup assertions (test mode).
-    const PR8_FLEET_REPLAY_NS: f64 = 20_009_969.0;
-    const PR8_FLEET_FAULTED_REPLAY_NS: f64 = 19_777_921.0;
-    const PR8_MILLION_REPLAY_NS: f64 = 4_841_728_354.0;
-
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let trace = if test_mode { bench_trace() } else { bench_trace_fleet() };
-    let transform = |vm: &VmSpec| {
-        if vm.full_node {
-            PlacementRequest::baseline_only(vm)
-        } else {
-            PlacementRequest::prefer_green(vm, 1.25)
-        }
-    };
-    let prepared = PreparedTrace::new(&trace, &transform);
-    let prepared_baseline = PreparedTrace::new(&trace, &baseline_transform);
-    let baseline_shape = ServerShape::baseline_gen3();
-    let green_shape = ServerShape::greensku();
-
-    // Size once and replay that fixed cluster, so the ablation
-    // isolates the inner-loop data layout from sizing.
-    let plan = right_size_mixed_prepared(
-        &prepared,
-        &prepared_baseline,
-        baseline_shape,
-        green_shape,
-        PlacementPolicy::BestFit,
-        None,
-    )
-    .unwrap();
-    if !test_mode {
-        assert!(plan.total() >= 1024, "fleet fixture must size above 1024 servers, got {plan:?}");
-    }
-    let config = ClusterConfig {
-        baseline_count: plan.baseline,
-        baseline_shape,
-        green_count: plan.green,
-        green_shape,
-    };
-
-    // A fault plan that keeps the evacuation/retry path hot: a wave of
-    // full failures mid-trace, a degrade wave, and repairs near the
-    // end, spread deterministically over both pools.
-    let duration = prepared.duration_s();
-    let mut fault_events = Vec::new();
-    for server in (0..config.baseline_count).step_by(31) {
-        fault_events.push(FaultEvent {
-            time_s: duration * 0.25,
-            pool: FaultPool::Baseline,
-            server,
-            kind: FaultKind::FullFailure,
-        });
-        fault_events.push(FaultEvent {
-            time_s: duration * 0.70,
-            pool: FaultPool::Baseline,
-            server,
-            kind: FaultKind::Revive,
-        });
-    }
-    for server in (0..config.green_count).step_by(41) {
-        fault_events.push(FaultEvent {
-            time_s: duration * 0.40,
-            pool: FaultPool::Green,
-            server,
-            kind: FaultKind::PartialDegrade { cores_lost: 16, mem_lost_gb: 64.0 },
-        });
-    }
-    let faults =
-        FaultPlan::new(fault_events, 4, config.baseline_count, config.green_count).unwrap();
-
-    let reps: u32 = if test_mode { 1 } else { 5 };
-    let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
-    let fleet_replay = (0..reps)
-        .map(|_| {
-            sim.reset(config);
-            let t = Instant::now();
-            black_box(sim.replay_prepared(&prepared));
-            t.elapsed()
-        })
-        .min()
-        .unwrap();
-    let fleet_faulted = (0..reps)
-        .map(|_| {
-            sim.reset(config);
-            let t = Instant::now();
-            black_box(sim.replay_prepared_faulted(&prepared, &faults));
-            t.elapsed()
-        })
-        .min()
-        .unwrap();
-    println!(
-        "[ablation] arena fleet replay {:.1} ms steady, {:.1} ms faulted at {} servers / {} VMs",
-        fleet_replay.as_secs_f64() * 1e3,
-        fleet_faulted.as_secs_f64() * 1e3,
-        plan.total(),
-        prepared.vm_count(),
-    );
-    if PR8_FLEET_REPLAY_NS > 0.0 {
-        println!(
-            "[ablation] vs PR 8 engine: steady {:.2}x, faulted {:.2}x",
-            PR8_FLEET_REPLAY_NS / (fleet_replay.as_secs_f64() * 1e9),
-            PR8_FLEET_FAULTED_REPLAY_NS / (fleet_faulted.as_secs_f64() * 1e9),
-        );
-    }
-
-    // ~1M VMs over two weeks, streamed from a chunked file exactly as
-    // `gsf fleet --trace-file --stream` would replay it.
-    if !test_mode {
-        let generator = TraceGenerator::new(TraceParams {
-            duration_hours: 14.0 * 24.0,
-            arrivals_per_hour: 3000.0,
-            size_classes: vec![(8, 0.4), (16, 0.3), (32, 0.2), (64, 0.1)],
-            mem_per_core_classes: vec![(4.0, 0.6), (8.0, 0.4)],
-            ..TraceParams::default()
-        });
-        let path = std::env::temp_dir().join("gsf_ablation_arena_1m.gst");
-        {
-            let mut out = BufWriter::new(std::fs::File::create(&path).unwrap());
-            generator
-                .synthesize_streamed(
-                    &SeedFactory::new(BENCH_SEED),
-                    9,
-                    &mut out,
-                    DEFAULT_CHUNK_EVENTS,
-                )
-                .unwrap();
-            out.flush().unwrap();
-        }
-        let prepared_1m = {
-            let file = BufReader::new(std::fs::File::open(&path).unwrap());
-            let mut reader = TraceChunkReader::new(file).unwrap();
-            PreparedTrace::from_chunk_stream(&mut reader, &transform).unwrap()
-        };
-        std::fs::remove_file(&path).ok();
-        let million_vms = prepared_1m.vm_count();
-        assert!(million_vms > 900_000, "scale fixture drifted: {million_vms} VMs");
-        let (peak_cores, peak_mem_gb) = prepared_1m.peak_demand();
-        let servers = |shape: ServerShape, share: f64| -> u32 {
-            let by_cores = (peak_cores as f64 * share / f64::from(shape.cores)).ceil();
-            let by_mem = (peak_mem_gb * share / shape.mem_gb).ceil();
-            by_cores.max(by_mem) as u32 + 2
-        };
-        let config_1m = ClusterConfig {
-            baseline_count: servers(baseline_shape, 0.5),
-            baseline_shape,
-            green_count: servers(green_shape, 1.0),
-            green_shape,
-        };
-        let mut sim_1m = AllocationSim::new(config_1m, PlacementPolicy::BestFit);
-        let million_replay = (0..2u32)
-            .map(|_| {
-                sim_1m.reset(config_1m);
-                let t = Instant::now();
-                black_box(sim_1m.replay_prepared(&prepared_1m));
-                t.elapsed()
-            })
-            .min()
-            .unwrap();
-        println!(
-            "[ablation] arena 1M-scale replay {:.2} s ({} VMs, {} servers)",
-            million_replay.as_secs_f64(),
-            million_vms,
-            config_1m.baseline_count + config_1m.green_count,
-        );
-        if PR8_MILLION_REPLAY_NS > 0.0 {
-            println!(
-                "[ablation] vs PR 8 engine: 1M replay {:.2}x",
-                PR8_MILLION_REPLAY_NS / (million_replay.as_secs_f64() * 1e9),
-            );
-        }
-
-        let speedup = |pr8: f64, now: Duration| -> f64 {
-            if pr8 > 0.0 {
-                pr8 / (now.as_secs_f64() * 1e9)
-            } else {
-                0.0
-            }
-        };
-        let json = format!(
-            "{{\n  \"bench\": \"ablation_arena_replay\",\n  \"fleet\": {{\n    \"vms\": {},\n    \"servers\": {},\n    \"ns_per_iter\": {{\n      \"replay_pr8\": {:.0},\n      \"replay_arena\": {:.0},\n      \"faulted_replay_pr8\": {:.0},\n      \"faulted_replay_arena\": {:.0}\n    }},\n    \"speedup\": {{\n      \"replay\": {:.2},\n      \"faulted_replay\": {:.2}\n    }}\n  }},\n  \"million\": {{\n    \"vms\": {},\n    \"ns_per_iter\": {{\n      \"replay_pr8\": {:.0},\n      \"replay_arena\": {:.0}\n    }},\n    \"speedup\": {{\"replay\": {:.2}}}\n  }}\n}}\n",
-            prepared.vm_count(),
-            plan.total(),
-            PR8_FLEET_REPLAY_NS,
-            fleet_replay.as_secs_f64() * 1e9,
-            PR8_FLEET_FAULTED_REPLAY_NS,
-            fleet_faulted.as_secs_f64() * 1e9,
-            speedup(PR8_FLEET_REPLAY_NS, fleet_replay),
-            speedup(PR8_FLEET_FAULTED_REPLAY_NS, fleet_faulted),
-            million_vms,
-            PR8_MILLION_REPLAY_NS,
-            million_replay.as_secs_f64() * 1e9,
-            speedup(PR8_MILLION_REPLAY_NS, million_replay),
-        );
-        print_summary(&json);
-    }
-
-    let mut group = c.benchmark_group("ablation_arena_replay");
-    group.bench_function("fleet_replay", |b| {
-        let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
-        b.iter(|| {
-            sim.reset(config);
-            black_box(sim.replay_prepared(&prepared))
-        })
-    });
-    group.bench_function("fleet_faulted_replay", |b| {
-        let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
-        b.iter(|| {
-            sim.reset(config);
-            black_box(sim.replay_prepared_faulted(&prepared, &faults))
+            black_box(sim.replay_prepared_faulted(&prepared, &empty))
         })
     });
     group.finish();
@@ -1011,11 +590,8 @@ criterion_group!(
     ablation_des_vs_analytic,
     ablation_buffer_fraction,
     ablation_eval_cache,
-    ablation_prepared_replay,
-    ablation_indexed_placement,
     ablation_sharded_replay,
     ablation_streamed_trace,
-    ablation_sim_reuse,
-    ablation_arena_replay
+    ablation_sim_reuse
 );
 criterion_main!(benches);

@@ -3,23 +3,28 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gsf_bench::{bench_seeds, bench_trace, bench_trace_large};
-use gsf_cluster::sizing::right_size_baseline_only;
+use gsf_cluster::sizing::{right_size, SizingRequest};
 use gsf_maintenance::{FailureSim, FailureSimParams};
-use gsf_vmalloc::{AllocationSim, ClusterConfig, PlacementPolicy, PlacementRequest, ServerShape};
+use gsf_vmalloc::{
+    AllocationSim, ClusterConfig, FaultPlan, PlacementPolicy, PlacementRequest, PreparedTrace,
+    ServerShape,
+};
 use gsf_workloads::{Trace, TraceGenerator, TraceParams, VmSpec};
 
 fn baseline_transform(vm: &VmSpec) -> PlacementRequest {
     PlacementRequest::baseline_only(vm)
 }
 
-/// Fig. 9/10 inner loop: replay one trace on a fixed cluster.
+/// Fig. 9/10 inner loop: prepare and replay one trace on a fixed
+/// cluster.
 fn fig9_replay(c: &mut Criterion) {
     let trace = bench_trace();
     c.bench_function("fig9_replay_500vm_trace", |b| {
         b.iter(|| {
             let mut sim =
                 AllocationSim::new(ClusterConfig::baseline_only(24), PlacementPolicy::BestFit);
-            black_box(sim.replay(&trace, &baseline_transform))
+            let prepared = PreparedTrace::new(&trace, &baseline_transform);
+            black_box(sim.replay_prepared_faulted(&prepared, &FaultPlan::empty()))
         })
     });
 }
@@ -29,14 +34,13 @@ fn fig9_sizing_search(c: &mut Criterion) {
     let trace = bench_trace_large();
     c.bench_function("fig9_right_size_baseline", |b| {
         b.iter(|| {
-            black_box(
-                right_size_baseline_only(
-                    &trace,
-                    ServerShape::baseline_gen3(),
-                    PlacementPolicy::BestFit,
-                )
-                .unwrap(),
-            )
+            let prepared = PreparedTrace::new(&trace, &baseline_transform);
+            let request = SizingRequest::new(
+                &prepared,
+                ServerShape::baseline_gen3(),
+                PlacementPolicy::BestFit,
+            );
+            black_box(right_size(&request).unwrap())
         })
     });
 }

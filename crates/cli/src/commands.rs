@@ -44,6 +44,15 @@ pub enum CliError {
     Stream(TraceStreamError),
     /// Invalid fault-model parameter.
     Maintenance(gsf_maintenance::MaintenanceError),
+    /// A flag value the command cannot run with.
+    OutOfRange {
+        /// The flag.
+        flag: &'static str,
+        /// The value given.
+        value: String,
+        /// What the flag accepts.
+        expected: String,
+    },
 }
 
 impl fmt::Display for CliError {
@@ -60,6 +69,9 @@ impl fmt::Display for CliError {
             CliError::Trace(e) => write!(f, "{e}"),
             CliError::Stream(e) => write!(f, "{e}"),
             CliError::Maintenance(e) => write!(f, "{e}"),
+            CliError::OutOfRange { flag, value, expected } => {
+                write!(f, "--{flag} {value} is out of range: expected {expected}")
+            }
         }
     }
 }
@@ -152,9 +164,53 @@ fn params_from(args: &Args) -> Result<ModelParams, CliError> {
         .with_lifetime(Years::new(lifetime)))
 }
 
+/// The most VMs (`--hours` × `--arrivals`) a synthesized trace may be
+/// expected to hold: ten times the largest fleet fixture (~1M VMs).
+const MAX_EXPECTED_VMS: f64 = 1e7;
+
+/// Reads `--hours` and `--arrivals` for trace synthesis. Both must be
+/// finite and positive, and their product, the expected VM count, at
+/// most [`MAX_EXPECTED_VMS`]: otherwise the generator never finishes
+/// (NaN) or grows its output until the process is killed.
+fn synthesis_window(args: &Args) -> Result<(f64, f64), CliError> {
+    let hours: f64 = args.get_num("hours", 24.0)?;
+    let arrivals: f64 = args.get_num("arrivals", 80.0)?;
+    for (flag, value) in [("hours", hours), ("arrivals", arrivals)] {
+        if !(value.is_finite() && value > 0.0) {
+            let expected = "a finite number above 0".to_string();
+            return Err(CliError::OutOfRange { flag, value: value.to_string(), expected });
+        }
+    }
+    if hours * arrivals > MAX_EXPECTED_VMS {
+        return Err(CliError::OutOfRange {
+            flag: "arrivals",
+            value: arrivals.to_string(),
+            expected: format!("--hours × --arrivals at most {MAX_EXPECTED_VMS:e} VMs"),
+        });
+    }
+    Ok((hours, arrivals))
+}
+
+/// Reads a count flag that must be at least `min`.
+fn count_at_least(
+    args: &Args,
+    flag: &'static str,
+    default: usize,
+    min: usize,
+) -> Result<usize, CliError> {
+    let n = args.get_num(flag, default)?;
+    if n < min {
+        return Err(CliError::OutOfRange {
+            flag,
+            value: n.to_string(),
+            expected: format!("at least {min}"),
+        });
+    }
+    Ok(n)
+}
+
 fn trace_from(args: &Args) -> Result<Trace, CliError> {
-    let hours = args.get_num("hours", 24.0)?;
-    let arrivals = args.get_num("arrivals", 80.0)?;
+    let (hours, arrivals) = synthesis_window(args)?;
     let seed = args.get_num("seed", 42u64)?;
     let diurnal = args.get_num("diurnal", 0.0)?;
     Ok(TraceGenerator::new(TraceParams {
@@ -292,10 +348,10 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     let baseline = sku_by_name(args.get_or("baseline", "baseline-gen3"))?;
     let from = args.get_num("from", 0.01)?;
     let to = args.get_num("to", 0.5)?;
-    let points: usize = args.get_num("points", 25)?;
+    let points = count_at_least(args, "points", 25, 2)?;
     let mut out = String::from("carbon_intensity,operational,embodied,total\n");
-    for i in 0..points.max(2) {
-        let ci = from + (to - from) * i as f64 / (points.max(2) - 1) as f64;
+    for i in 0..points {
+        let ci = from + (to - from) * i as f64 / (points - 1) as f64;
         let model = CarbonModel::new(
             ModelParams::default_open_source().with_carbon_intensity(CarbonIntensity::new(ci)),
         );
@@ -390,8 +446,7 @@ fn load_trace(path: &str) -> Result<Trace, CliError> {
 fn trace_synth(args: &Args) -> Result<String, CliError> {
     use std::io::Write as _;
     let out_path = args.get("out").ok_or_else(|| ArgError::MissingValue("out".into()))?.to_string();
-    let hours = args.get_num("hours", 24.0)?;
-    let arrivals = args.get_num("arrivals", 80.0)?;
+    let (hours, arrivals) = synthesis_window(args)?;
     let seed = args.get_num("seed", 42u64)?;
     let diurnal = args.get_num("diurnal", 0.0)?;
     let chunk_events: usize = args.get_num("chunk-events", DEFAULT_CHUNK_EVENTS)?;
@@ -811,11 +866,10 @@ fn fleet_cmd(args: &Args) -> Result<String, CliError> {
         return fleet_file_cmd(args, &path);
     }
     let design = design_by_name(args.get_or("design", "full"))?;
-    let n: usize = args.get_num("traces", 4usize)?;
+    let n = count_at_least(args, "traces", 4, 1)?;
     let workers: usize = args.get_num("workers", gsf_cluster::parallel::default_workers())?;
     let shards: usize = args.get_num("shards", 1usize)?;
-    let hours = args.get_num("hours", 24.0)?;
-    let arrivals = args.get_num("arrivals", 80.0)?;
+    let (hours, arrivals) = synthesis_window(args)?;
     let seed = args.get_num("seed", 42u64)?;
     let gen = TraceGenerator::new(TraceParams {
         duration_hours: hours,
@@ -823,7 +877,7 @@ fn fleet_cmd(args: &Args) -> Result<String, CliError> {
         ..TraceParams::default()
     });
     let factory = SeedFactory::new(seed);
-    let traces: Vec<Trace> = (0..n.max(1) as u64).map(|i| gen.generate(&factory, i)).collect();
+    let traces: Vec<Trace> = (0..n as u64).map(|i| gen.generate(&factory, i)).collect();
     let pipeline =
         GsfPipeline::new(PipelineConfig { shards: shards.max(1), ..PipelineConfig::default() });
     let o = pipeline.evaluate_fleet(&design, &traces, workers.max(1))?;
@@ -1148,5 +1202,72 @@ mod tests {
         let sharded = run(&argv(&["--shards", "3"])).unwrap();
         assert!(sharded.contains("3 shards)"), "{sharded}");
         assert!(sharded.contains("cluster savings"), "{sharded}");
+    }
+    /// `argv` must fail with an out-of-range error on `flag`.
+    fn assert_out_of_range(argv: &[&str], flag: &str) {
+        match run(argv) {
+            Err(CliError::OutOfRange { flag: got, .. }) => assert_eq!(got, flag, "{argv:?}"),
+            other => panic!("{argv:?}: expected --{flag} out of range, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn report_rejects_negative_hours() {
+        assert_out_of_range(&["report", "--hours", "-5"], "hours");
+    }
+
+    #[test]
+    fn report_rejects_zero_hours() {
+        assert_out_of_range(&["report", "--hours", "0"], "hours");
+    }
+
+    #[test]
+    fn gen_trace_rejects_nan_hours_without_writing() {
+        let path = std::env::temp_dir().join(format!("gsf-cli-nan-{}.bin", std::process::id()));
+        let path_str = path.to_str().unwrap();
+        assert_out_of_range(&["gen-trace", "--out", path_str, "--hours", "nan"], "hours");
+        assert!(!path.exists(), "a rejected trace must not be written");
+    }
+
+    #[test]
+    fn gen_trace_rejects_more_expected_vms_than_the_cap() {
+        let path = std::env::temp_dir().join(format!("gsf-cli-cap-{}.bin", std::process::id()));
+        let argv =
+            ["gen-trace", "--out", path.to_str().unwrap(), "--hours", "1e12", "--arrivals", "1"];
+        assert_out_of_range(&argv, "arrivals");
+        assert!(!path.exists(), "a rejected trace must not be written");
+    }
+
+    #[test]
+    fn trace_synth_rejects_infinite_hours() {
+        let path = std::env::temp_dir().join(format!("gsf-cli-inf-{}.gst", std::process::id()));
+        let argv = ["trace", "synth", "--out", path.to_str().unwrap(), "--hours", "inf"];
+        assert_out_of_range(&argv, "hours");
+        assert!(!path.exists(), "a rejected trace must not be written");
+    }
+
+    #[test]
+    fn characterize_rejects_nan_arrivals() {
+        assert_out_of_range(&["characterize", "--arrivals", "NaN"], "arrivals");
+    }
+
+    #[test]
+    fn fleet_rejects_negative_arrivals() {
+        assert_out_of_range(&["fleet", "--design", "full", "--arrivals", "-1"], "arrivals");
+    }
+
+    #[test]
+    fn sweep_rejects_zero_points() {
+        assert_out_of_range(&["sweep", "--points", "0"], "points");
+    }
+
+    #[test]
+    fn sweep_rejects_one_point() {
+        assert_out_of_range(&["sweep", "--points", "1"], "points");
+    }
+
+    #[test]
+    fn fleet_rejects_zero_traces() {
+        assert_out_of_range(&["fleet", "--design", "full", "--traces", "0"], "traces");
     }
 }

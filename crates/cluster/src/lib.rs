@@ -10,7 +10,7 @@
 //!   intensity sweep behind Figs. 11/12;
 //! - [`parallel`] — runs per-trace work across threads (the 35-trace
 //!   packing study of Figs. 9/10);
-//! - [`sharded`] — the multi-worker driver and sizing knobs for the
+//! - [`sharded`] — the multi-worker driver and sizing probe for the
 //!   sharded replay engine (parallelism *within* one simulation).
 
 #![warn(missing_docs)]
@@ -24,13 +24,8 @@ pub mod sizing;
 
 pub use buffer::GrowthBufferPolicy;
 pub use savings::{cluster_emissions, savings_fraction};
-pub use sharded::{
-    replay_sharded, right_size_baseline_only_prepared_sharded, right_size_prepared_sharded,
-};
+pub use sharded::replay_sharded;
 pub use sizing::{
-    right_size_baseline_only, right_size_baseline_only_faulted, right_size_baseline_only_prepared,
-    right_size_baseline_only_prepared_linear, right_size_baseline_only_unprepared,
-    right_size_mixed, right_size_mixed_faulted, right_size_mixed_prepared,
-    right_size_mixed_prepared_linear, right_size_mixed_unprepared, right_size_prepared,
-    AvailabilitySlo, ClusterPlan, FaultInjection, SizingError,
+    right_size, right_size_baseline_only_prepared, right_size_mixed_prepared, AvailabilitySlo,
+    ClusterPlan, FaultInjection, MixedSearch, SizingError, SizingRequest,
 };

@@ -6,16 +6,19 @@
 //! baseline SKUs with GreenSKUs until no further replacement is
 //! possible; VMs that cannot adopt the GreenSKU pin the residual
 //! baseline pool. Both steps are monotone feasibility searches, so they
-//! run as binary searches over simulator replays. Fault-free searches
-//! on one indexed simulator answer most probes from the placement
-//! high-water mark of a replay they already ran (DESIGN.md §15).
+//! run as binary searches over simulator replays. Fault-free unsharded
+//! searches answer most probes from the placement high-water mark of a
+//! replay they already ran (DESIGN.md §15).
+//!
+//! [`right_size`] is the one entry point: a [`SizingRequest`] names the
+//! prepared plans, shapes, policy, fault injection and shard count, and
+//! the answer is `n0` plus the plan to deploy.
 
 use gsf_maintenance::{FaultModel, PoolDevices};
 use gsf_vmalloc::{
-    AllocationSim, ClusterConfig, FaultPlan, HighWaterMarks, PlacementPolicy, PreparedTrace,
-    ServerShape, VmTransform,
+    AllocationSim, ClusterConfig, FaultPlan, FaultSummary, HighWaterMarks, PlacementPolicy,
+    PreparedTrace, ServerShape, ShardedSim, SimOutcome,
 };
-use gsf_workloads::Trace;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -109,13 +112,149 @@ impl fmt::Display for SizingError {
 
 impl std::error::Error for SizingError {}
 
+/// The mixed half of a [`SizingRequest`].
+#[derive(Debug, Clone, Copy)]
+pub struct MixedSearch<'a> {
+    /// The routed plan: adopting VMs issue green-preferring (scaled)
+    /// requests, the others baseline-only ones.
+    pub prepared: &'a PreparedTrace,
+    /// The GreenSKU server shape.
+    pub green_shape: ServerShape,
+}
+
+/// One cluster-sizing request for [`right_size`].
+#[derive(Debug, Clone, Copy)]
+pub struct SizingRequest<'a> {
+    /// The baseline-only plan (every request at its original size) the
+    /// `n0` search replays. The `EvalContext` prepared cache in
+    /// `gsf-core` shares one such plan across all sweep points.
+    pub baseline: &'a PreparedTrace,
+    /// The mixed search `n0` seeds; `None` asks for `n0` alone.
+    pub mixed: Option<MixedSearch<'a>>,
+    /// The baseline server shape.
+    pub baseline_shape: ServerShape,
+    /// The placement policy every probe replays with.
+    pub policy: PlacementPolicy,
+    /// Fault injection; `None` (or a disabled model) sizes fault-free.
+    pub faults: Option<&'a FaultInjection<'a>>,
+    /// Shards per probe replay; `<= 1` is the unsharded engine.
+    pub shards: usize,
+    /// Worker threads per sharded probe. The answer is the same for any
+    /// count; unsharded probes ignore it.
+    pub workers: usize,
+}
+
+impl<'a> SizingRequest<'a> {
+    /// A fault-free, unsharded, baseline-only request.
+    pub fn new(
+        baseline: &'a PreparedTrace,
+        baseline_shape: ServerShape,
+        policy: PlacementPolicy,
+    ) -> Self {
+        Self { baseline, mixed: None, baseline_shape, policy, faults: None, shards: 1, workers: 1 }
+    }
+}
+
+/// Right-sizes a cluster (§V): `n0`, the fewest baseline servers that
+/// host the baseline-only plan, and the plan to deploy. A mixed request
+/// searches that plan from `n0`: the fewest baseline servers, then the
+/// fewest GreenSKUs. A baseline-only request returns
+/// `ClusterPlan { baseline: n0, green: 0 }`.
+///
+/// A candidate cluster is feasible when its replay rejects no VM. Under
+/// fault injection each candidate is replayed with its own fault plan,
+/// and the fault summary must also pass [`FaultInjection::admits`].
+/// Fault-free unsharded probes answer from their placement high-water
+/// marks (DESIGN.md §15); faulted and sharded probes bisect.
+///
+/// # Errors
+///
+/// Returns [`SizingError::Infeasible`] when `n0` is infeasible at its
+/// bound (4× the peak-demand lower bound, minimum 8), or the mixed
+/// search at its largest green cap.
+pub fn right_size(request: &SizingRequest<'_>) -> Result<(u32, ClusterPlan), SizingError> {
+    let faults = request.faults.filter(|f| !f.model.is_none());
+    let (empty, policy) = (ClusterConfig::baseline_only(0), request.policy);
+    if request.shards > 1 {
+        search(
+            request,
+            || ShardedSim::new(empty, policy, request.shards),
+            |sim, prepared, config| {
+                crate::sharded::probe(sim, prepared, config, faults, request.workers)
+            },
+        )
+    } else {
+        search(
+            request,
+            || AllocationSim::new(empty, policy),
+            |sim, prepared, config| probe(sim, prepared, config, faults),
+        )
+    }
+}
+
+/// Both searches of [`right_size`], each probing on its own simulator
+/// from `new_sim`, so the `n0` search's pools are freed before the mixed
+/// search grows its own.
+fn search<S>(
+    request: &SizingRequest<'_>,
+    new_sim: impl Fn() -> S,
+    probe: impl Fn(&mut S, &PreparedTrace, ClusterConfig) -> Probe,
+) -> Result<(u32, ClusterPlan), SizingError> {
+    let baseline = request.baseline;
+    let n0 = {
+        let mut sim = new_sim();
+        baseline_search(baseline.peak_demand(), request.baseline_shape, |config| {
+            probe(&mut sim, baseline, config)
+        })?
+    };
+    let plan = match request.mixed {
+        None => ClusterPlan { baseline: n0, green: 0 },
+        Some(mixed) => {
+            let mut sim = new_sim();
+            mixed_search(n0, request.baseline_shape, mixed.green_shape, |config| {
+                probe(&mut sim, mixed.prepared, config)
+            })?
+        }
+    };
+    Ok((n0, plan))
+}
+
+/// Whether `config` hosts `prepared`: `replay` runs the configuration's
+/// fault plan (empty without injection) on a reset simulator, and the
+/// outcome must reject nothing and, under injection, be admitted.
+pub(crate) fn feasible(
+    prepared: &PreparedTrace,
+    config: &ClusterConfig,
+    faults: Option<&FaultInjection<'_>>,
+    replay: impl FnOnce(&FaultPlan) -> (SimOutcome, FaultSummary),
+) -> bool {
+    let plan =
+        faults.map_or_else(FaultPlan::empty, |inj| inj.plan_for(config, prepared.duration_s()));
+    let (outcome, summary) = replay(&plan);
+    outcome.no_rejections() && faults.is_none_or(|inj| inj.admits(&summary))
+}
+
+/// Feasibility probe on the unsharded engine. It is exact, and reports
+/// its high-water marks, exactly when it is fault-free.
+fn probe(
+    sim: &mut AllocationSim,
+    prepared: &PreparedTrace,
+    config: ClusterConfig,
+    faults: Option<&FaultInjection<'_>>,
+) -> Probe {
+    sim.reset(config);
+    let feasible =
+        feasible(prepared, &config, faults, |plan| sim.replay_prepared_faulted(prepared, plan));
+    Probe { feasible, marks: faults.is_none().then(|| sim.high_water_marks()) }
+}
+
 /// One feasibility probe's answer to a search skeleton.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Probe {
     /// Whether the candidate configuration hosts the trace.
     pub(crate) feasible: bool,
     /// The replay's placement high-water marks when the probe is
-    /// exact — fault-free on one unsharded, indexed simulator — so the
+    /// exact — fault-free on one unsharded simulator — so the
     /// skeletons may answer other configurations from them
     /// (DESIGN.md §15). `None` keeps the plain binary search, probe for
     /// probe.
@@ -127,61 +266,6 @@ impl Probe {
     pub(crate) fn plain(feasible: bool) -> Self {
         Self { feasible, marks: None }
     }
-}
-
-/// Feasibility probe on the prepared replay engine: the plan is built
-/// once per sizing call and replayed across every probe. Fault-free
-/// probes report their high-water marks when `exact`.
-fn feasible_prepared(
-    sim: &mut AllocationSim,
-    prepared: &PreparedTrace,
-    config: ClusterConfig,
-    faults: Option<&FaultInjection<'_>>,
-    exact: bool,
-) -> Probe {
-    sim.reset(config);
-    match faults {
-        None => Probe {
-            feasible: sim.replay_prepared(prepared).no_rejections(),
-            marks: exact.then(|| sim.high_water_marks()),
-        },
-        Some(inj) => {
-            let plan = inj.plan_for(&config, prepared.duration_s());
-            let (outcome, summary) = sim.replay_prepared_faulted(prepared, &plan);
-            Probe::plain(outcome.no_rejections() && inj.admits(&summary))
-        }
-    }
-}
-
-/// Feasibility probe on the unprepared reference engine; bit-identical
-/// to [`feasible_prepared`] by the replay-equivalence contract.
-fn feasible_unprepared(
-    sim: &mut AllocationSim,
-    trace: &Trace,
-    transform: &VmTransform<'_>,
-    config: ClusterConfig,
-    faults: Option<&FaultInjection<'_>>,
-) -> Probe {
-    sim.reset(config);
-    Probe::plain(match faults {
-        None => sim.replay_unprepared(trace, transform).no_rejections(),
-        Some(inj) => {
-            let plan = inj.plan_for(&config, trace.duration_s());
-            let (outcome, summary) = sim.replay_faulted_unprepared(trace, transform, &plan);
-            outcome.no_rejections() && inj.admits(&summary)
-        }
-    })
-}
-
-/// Smallest `n` in `[lo, hi]` with `pred(n)` true, assuming monotone
-/// feasibility; `None` if the range is empty or even `hi` fails.
-fn binary_search_min(lo: u32, hi: u32, mut pred: impl FnMut(u32) -> bool) -> Option<u32> {
-    // An empty range has no feasible point; without this guard the
-    // search would return `Some(lo)` without ever evaluating `pred(lo)`.
-    if lo > hi || !pred(hi) {
-        return None;
-    }
-    Some(bisect(lo, hi, pred))
 }
 
 /// Smallest `n` in `[lo, hi]` with `pred(n)` true, given that `pred(hi)`
@@ -205,8 +289,7 @@ fn bisect(mut lo: u32, mut hi: u32, mut pred: impl FnMut(u32) -> bool) -> u32 {
 /// A feasible exact probe at `hi` settles the whole range
 /// (DESIGN.md §15): every count at or above its baseline mark replays
 /// it event for event, and every count `n` below it rejects the VM that
-/// opened server `n`. A probe without marks is bisected as
-/// [`binary_search_min`] does.
+/// opened server `n`. A probe without marks is bisected below `hi`.
 fn min_baseline_count(
     lo: u32,
     hi: u32,
@@ -226,10 +309,10 @@ fn min_baseline_count(
 
 /// The baseline-only search skeleton: peak-demand lower bound, 4× upper
 /// bound (minimum 8), binary search over `probe`. The probe captures
-/// its own simulator (indexed, linear, or sharded — the skeleton is
+/// its own simulator (unsharded or sharded — the skeleton is
 /// engine-agnostic) and answers whether one candidate configuration
 /// hosts the trace; an exact probe answers with the bound probe alone.
-pub(crate) fn baseline_search(
+fn baseline_search(
     peak_demand: (u64, f64),
     baseline_shape: ServerShape,
     mut probe: impl FnMut(ClusterConfig) -> Probe,
@@ -260,7 +343,7 @@ pub(crate) fn baseline_search(
 /// whose green mark stays below the cap repeats at every larger cap,
 /// and a GreenSKU count at or above the mark repeats the feasible
 /// `(b_min, green_cap)` replay.
-pub(crate) fn mixed_search(
+fn mixed_search(
     n0: u32,
     baseline_shape: ServerShape,
     green_shape: ServerShape,
@@ -312,195 +395,39 @@ pub(crate) fn mixed_search(
             (None, _) => break,
         }
     }
-    // ...then the fewest GreenSKUs given that baseline pool. The cap
-    // itself was feasible with `b_min` in the searches above, and the
-    // probes are deterministic, so this search cannot come up empty —
-    // but report Infeasible rather than panicking if that invariant is
-    // ever broken.
-    let g_min = binary_search_min(0, green_cap, |g| {
+    // ...then the fewest GreenSKUs given that baseline pool. The
+    // searches above found `(b_min, green_cap)` feasible, and probes are
+    // deterministic, so the bisection starts from it as its known top
+    // instead of replaying it again.
+    let g_min = bisect(0, green_cap, |g| {
         marks.is_some_and(|m| g >= m.green) || probe(config(b_min, g)).feasible
-    })
-    .ok_or(SizingError::Infeasible { bound: n0 + green_cap })?;
+    });
     Ok(ClusterPlan { baseline: b_min, green: g_min })
 }
 
-/// Right-sizes a baseline-only cluster: the minimum number of
-/// `baseline_shape` servers hosting `trace` without rejections, with
-/// every VM placed at its original size.
+/// Kept for the `benchmark/` package, which calls it: forwards to
+/// [`right_size`] with a baseline-only request and returns `n0`.
 ///
 /// # Errors
 ///
-/// Returns [`SizingError::Infeasible`] if the trace cannot be hosted at
-/// the search bound (4× the peak-demand lower bound, minimum 8).
-pub fn right_size_baseline_only(
-    trace: &Trace,
-    baseline_shape: ServerShape,
-    policy: PlacementPolicy,
-) -> Result<u32, SizingError> {
-    right_size_baseline_only_faulted(trace, baseline_shape, policy, None)
-}
-
-/// [`right_size_baseline_only`] under fault injection: each candidate
-/// count is probed with that configuration's fault plan, and a size is
-/// feasible only if no VM is rejected *and* every fault-displaced VM is
-/// successfully evacuated. `None` (or a disabled model) is exactly the
-/// plain search.
-///
-/// # Errors
-///
-/// Returns [`SizingError::Infeasible`] as the plain search does.
-pub fn right_size_baseline_only_faulted(
-    trace: &Trace,
-    baseline_shape: ServerShape,
-    policy: PlacementPolicy,
-    faults: Option<&FaultInjection<'_>>,
-) -> Result<u32, SizingError> {
-    let transform = |vm: &gsf_workloads::VmSpec| gsf_vmalloc::PlacementRequest::baseline_only(vm);
-    let prepared = PreparedTrace::new(trace, &transform);
-    right_size_baseline_only_prepared(&prepared, baseline_shape, policy, faults)
-}
-
-/// [`right_size_baseline_only_faulted`] over an already-prepared plan,
-/// so every binary-search probe replays the same precomputation.
-/// `prepared` must have been built with the baseline-only transform
-/// (every request at its original size); the `EvalContext` prepared
-/// cache in `gsf-core` shares one such plan across all sweep points.
-///
-/// # Errors
-///
-/// Returns [`SizingError::Infeasible`] as the plain search does.
+/// As [`right_size`].
 pub fn right_size_baseline_only_prepared(
     prepared: &PreparedTrace,
     baseline_shape: ServerShape,
     policy: PlacementPolicy,
     faults: Option<&FaultInjection<'_>>,
 ) -> Result<u32, SizingError> {
-    baseline_only_prepared_impl(prepared, baseline_shape, policy, faults, false)
+    right_size(&SizingRequest { faults, ..SizingRequest::new(prepared, baseline_shape, policy) })
+        .map(|(n0, _)| n0)
 }
 
-/// [`right_size_baseline_only_prepared`] with server selection through
-/// the linear reference scan instead of the placement index. The
-/// prepared engine and the bounds are the same; as a reference it reads
-/// no high-water marks and bisects with a replay per probe, so
-/// comparing it against the indexed search checks the selection path
-/// and the mark shortcut together — the `index_equivalence` suite leans
-/// on that.
+/// Kept for the `benchmark/` package, which calls it: forwards to
+/// [`right_size`] with a mixed request over `prepared` and returns the
+/// plan.
 ///
 /// # Errors
 ///
-/// Returns [`SizingError::Infeasible`] as the plain search does.
-pub fn right_size_baseline_only_prepared_linear(
-    prepared: &PreparedTrace,
-    baseline_shape: ServerShape,
-    policy: PlacementPolicy,
-    faults: Option<&FaultInjection<'_>>,
-) -> Result<u32, SizingError> {
-    baseline_only_prepared_impl(prepared, baseline_shape, policy, faults, true)
-}
-
-fn baseline_only_prepared_impl(
-    prepared: &PreparedTrace,
-    baseline_shape: ServerShape,
-    policy: PlacementPolicy,
-    faults: Option<&FaultInjection<'_>>,
-    linear_selection: bool,
-) -> Result<u32, SizingError> {
-    let faults = faults.filter(|f| !f.model.is_none());
-    let mut sim = AllocationSim::new(ClusterConfig::baseline_only(0), policy);
-    if linear_selection {
-        sim = sim.with_linear_selection();
-    }
-    baseline_search(prepared.peak_demand(), baseline_shape, |config| {
-        feasible_prepared(&mut sim, prepared, config, faults, !linear_selection)
-    })
-}
-
-/// Reference baseline-only sizing on the unprepared replay engine with
-/// linear server selection: re-resolves every event on every probe and
-/// scans the whole pool per placement. Bit-identical to
-/// [`right_size_baseline_only_faulted`] by the replay- and
-/// index-equivalence contracts; kept for the equivalence suites and the
-/// ablation benches.
-///
-/// # Errors
-///
-/// Returns [`SizingError::Infeasible`] as the plain search does.
-pub fn right_size_baseline_only_unprepared(
-    trace: &Trace,
-    baseline_shape: ServerShape,
-    policy: PlacementPolicy,
-    faults: Option<&FaultInjection<'_>>,
-) -> Result<u32, SizingError> {
-    let faults = faults.filter(|f| !f.model.is_none());
-    let transform = |vm: &gsf_workloads::VmSpec| gsf_vmalloc::PlacementRequest::baseline_only(vm);
-    let mut sim =
-        AllocationSim::new(ClusterConfig::baseline_only(0), policy).with_linear_selection();
-    baseline_search(trace.peak_demand(), baseline_shape, |config| {
-        feasible_unprepared(&mut sim, trace, &transform, config, faults)
-    })
-}
-
-/// The §V mixed-cluster search: starting from a right-sized
-/// baseline-only cluster, replaces baseline SKUs with GreenSKUs until no
-/// VM is rejected, returning the plan with the fewest baseline servers
-/// (and, given that, the fewest GreenSKUs).
-///
-/// `transform` encodes the adoption decisions: adopting VMs issue
-/// green-preferring (scaled) requests, others baseline-only ones.
-///
-/// # Errors
-///
-/// Returns [`SizingError::Infeasible`] if even the all-baseline bound
-/// cannot host the trace.
-pub fn right_size_mixed(
-    trace: &Trace,
-    transform: &VmTransform<'_>,
-    baseline_shape: ServerShape,
-    green_shape: ServerShape,
-    policy: PlacementPolicy,
-) -> Result<ClusterPlan, SizingError> {
-    right_size_mixed_faulted(trace, transform, baseline_shape, green_shape, policy, None)
-}
-
-/// [`right_size_mixed`] under fault injection; see
-/// [`right_size_baseline_only_faulted`] for the tightened feasibility
-/// predicate. `None` (or a disabled model) is exactly the plain search.
-///
-/// # Errors
-///
-/// Returns [`SizingError::Infeasible`] as the plain search does.
-pub fn right_size_mixed_faulted(
-    trace: &Trace,
-    transform: &VmTransform<'_>,
-    baseline_shape: ServerShape,
-    green_shape: ServerShape,
-    policy: PlacementPolicy,
-    faults: Option<&FaultInjection<'_>>,
-) -> Result<ClusterPlan, SizingError> {
-    let prepared = PreparedTrace::new(trace, transform);
-    let baseline_transform =
-        |vm: &gsf_workloads::VmSpec| gsf_vmalloc::PlacementRequest::baseline_only(vm);
-    let prepared_baseline = PreparedTrace::new(trace, &baseline_transform);
-    right_size_mixed_prepared(
-        &prepared,
-        &prepared_baseline,
-        baseline_shape,
-        green_shape,
-        policy,
-        faults,
-    )
-}
-
-/// [`right_size_mixed_faulted`] over already-prepared plans: `prepared`
-/// carries the routed (adoption-transformed) requests the mixed search
-/// probes with, `prepared_baseline` the baseline-only requests seeding
-/// the `n0` search. Both are built once per (trace, routing decision)
-/// and shared across every probe — and, via the `EvalContext` cache,
-/// across every sweep point with the same routing signature.
-///
-/// # Errors
-///
-/// Returns [`SizingError::Infeasible`] as the plain search does.
+/// As [`right_size`].
 pub fn right_size_mixed_prepared(
     prepared: &PreparedTrace,
     prepared_baseline: &PreparedTrace,
@@ -509,124 +436,46 @@ pub fn right_size_mixed_prepared(
     policy: PlacementPolicy,
     faults: Option<&FaultInjection<'_>>,
 ) -> Result<ClusterPlan, SizingError> {
-    right_size_prepared(prepared, prepared_baseline, baseline_shape, green_shape, policy, faults)
-        .map(|(_, plan)| plan)
-}
-
-/// Both §V searches over already-prepared plans, with `n0` searched
-/// once: returns the baseline-only count
-/// ([`right_size_baseline_only_prepared`] on `prepared_baseline`) and
-/// the mixed plan it seeds ([`right_size_mixed_prepared`]), for callers
-/// that need the two together, as the pipeline does.
-///
-/// # Errors
-///
-/// Returns [`SizingError::Infeasible`] as the plain search does.
-pub fn right_size_prepared(
-    prepared: &PreparedTrace,
-    prepared_baseline: &PreparedTrace,
-    baseline_shape: ServerShape,
-    green_shape: ServerShape,
-    policy: PlacementPolicy,
-    faults: Option<&FaultInjection<'_>>,
-) -> Result<(u32, ClusterPlan), SizingError> {
-    mixed_prepared_impl(
-        prepared,
-        prepared_baseline,
-        baseline_shape,
-        green_shape,
-        policy,
+    let mixed = Some(MixedSearch { prepared, green_shape });
+    right_size(&SizingRequest {
+        mixed,
         faults,
-        false,
-    )
-}
-
-/// [`right_size_mixed_prepared`] with server selection through the
-/// linear reference scan instead of the placement index; see
-/// [`right_size_baseline_only_prepared_linear`].
-///
-/// # Errors
-///
-/// Returns [`SizingError::Infeasible`] as the plain search does.
-pub fn right_size_mixed_prepared_linear(
-    prepared: &PreparedTrace,
-    prepared_baseline: &PreparedTrace,
-    baseline_shape: ServerShape,
-    green_shape: ServerShape,
-    policy: PlacementPolicy,
-    faults: Option<&FaultInjection<'_>>,
-) -> Result<ClusterPlan, SizingError> {
-    mixed_prepared_impl(
-        prepared,
-        prepared_baseline,
-        baseline_shape,
-        green_shape,
-        policy,
-        faults,
-        true,
-    )
-    .map(|(_, plan)| plan)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn mixed_prepared_impl(
-    prepared: &PreparedTrace,
-    prepared_baseline: &PreparedTrace,
-    baseline_shape: ServerShape,
-    green_shape: ServerShape,
-    policy: PlacementPolicy,
-    faults: Option<&FaultInjection<'_>>,
-    linear_selection: bool,
-) -> Result<(u32, ClusterPlan), SizingError> {
-    let faults = faults.filter(|f| !f.model.is_none());
-    let n0 = baseline_only_prepared_impl(
-        prepared_baseline,
-        baseline_shape,
-        policy,
-        faults,
-        linear_selection,
-    )?;
-    let mut sim = AllocationSim::new(ClusterConfig::baseline_only(0), policy);
-    if linear_selection {
-        sim = sim.with_linear_selection();
-    }
-    let plan = mixed_search(n0, baseline_shape, green_shape, |config| {
-        feasible_prepared(&mut sim, prepared, config, faults, !linear_selection)
-    })?;
-    Ok((n0, plan))
-}
-
-/// Reference mixed sizing on the unprepared replay engine with linear
-/// server selection; bit-identical to [`right_size_mixed_faulted`] by
-/// the replay- and index-equivalence contracts, kept for the
-/// equivalence suites and the ablation benches.
-///
-/// # Errors
-///
-/// Returns [`SizingError::Infeasible`] as the plain search does.
-pub fn right_size_mixed_unprepared(
-    trace: &Trace,
-    transform: &VmTransform<'_>,
-    baseline_shape: ServerShape,
-    green_shape: ServerShape,
-    policy: PlacementPolicy,
-    faults: Option<&FaultInjection<'_>>,
-) -> Result<ClusterPlan, SizingError> {
-    let faults = faults.filter(|f| !f.model.is_none());
-    let n0 = right_size_baseline_only_unprepared(trace, baseline_shape, policy, faults)?;
-    let mut sim =
-        AllocationSim::new(ClusterConfig::baseline_only(0), policy).with_linear_selection();
-    mixed_search(n0, baseline_shape, green_shape, |config| {
-        feasible_unprepared(&mut sim, trace, transform, config, faults)
+        ..SizingRequest::new(prepared_baseline, baseline_shape, policy)
     })
+    .map(|(_, plan)| plan)
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use gsf_vmalloc::PlacementRequest;
+    use gsf_vmalloc::{PlacementRequest, VmTransform};
     use gsf_workloads::{ServerGeneration, Trace, VmEvent, VmEventKind, VmSpec};
+
+    /// Sizes `trace` on Gen3 baseline servers with BestFit: `n0` alone,
+    /// or with the mixed plan on GreenSKUs when `routed` is given.
+    fn size(
+        trace: &Trace,
+        routed: Option<&VmTransform<'_>>,
+        faults: Option<&FaultInjection<'_>>,
+    ) -> Result<(u32, ClusterPlan), SizingError> {
+        let baseline = PreparedTrace::new(trace, &PlacementRequest::baseline_only);
+        let prepared = routed.map(|transform| PreparedTrace::new(trace, transform));
+        let green_shape = ServerShape::greensku();
+        right_size(&SizingRequest {
+            mixed: prepared.as_ref().map(|prepared| MixedSearch { prepared, green_shape }),
+            faults,
+            ..SizingRequest::new(&baseline, ServerShape::baseline_gen3(), PlacementPolicy::BestFit)
+        })
+    }
+
+    fn n0(trace: &Trace, faults: Option<&FaultInjection<'_>>) -> Result<u32, SizingError> {
+        size(trace, None, faults).map(|(n0, _)| n0)
+    }
+
+    fn mixed_plan(trace: &Trace, routed: &VmTransform<'_>) -> Result<ClusterPlan, SizingError> {
+        size(trace, Some(routed), None).map(|(_, plan)| plan)
+    }
 
     fn vm(id: u64, cores: u32, full_node: bool) -> VmSpec {
         VmSpec {
@@ -656,13 +505,10 @@ mod tests {
     fn baseline_sizing_matches_arithmetic() {
         // 30 concurrent 8-core VMs = 240 cores → exactly 3 × 80-core
         // servers (10 VMs each; memory 4 GB/core fits easily).
-        let n = right_size_baseline_only(
-            &concurrent_trace(30),
-            ServerShape::baseline_gen3(),
-            PlacementPolicy::BestFit,
-        )
-        .unwrap();
-        assert_eq!(n, 3);
+        assert_eq!(
+            size(&concurrent_trace(30), None, None),
+            Ok((3, ClusterPlan { baseline: 3, green: 0 }))
+        );
     }
 
     #[test]
@@ -673,27 +519,13 @@ mod tests {
             vec![vm(0, 200, false)],
             vec![VmEvent { time_s: 1.0, kind: VmEventKind::Arrival, vm_id: 0 }],
         );
-        assert!(matches!(
-            right_size_baseline_only(
-                &trace,
-                ServerShape::baseline_gen3(),
-                PlacementPolicy::BestFit
-            ),
-            Err(SizingError::Infeasible { .. })
-        ));
+        assert!(matches!(n0(&trace, None), Err(SizingError::Infeasible { .. })));
     }
 
     #[test]
     fn all_adopting_workload_goes_fully_green() {
         let transform = |v: &VmSpec| PlacementRequest::prefer_green(v, 1.25);
-        let plan = right_size_mixed(
-            &concurrent_trace(24),
-            &transform,
-            ServerShape::baseline_gen3(),
-            ServerShape::greensku(),
-            PlacementPolicy::BestFit,
-        )
-        .unwrap();
+        let plan = mixed_plan(&concurrent_trace(24), &transform).unwrap();
         assert_eq!(plan.baseline, 0);
         // 24 VMs × 10 green cores = 240 cores → 2 × 128-core servers.
         assert_eq!(plan.green, 2);
@@ -721,14 +553,7 @@ mod tests {
                 PlacementRequest::prefer_green(v, 1.0)
             }
         };
-        let plan = right_size_mixed(
-            &trace,
-            &transform,
-            ServerShape::baseline_gen3(),
-            ServerShape::greensku(),
-            PlacementPolicy::BestFit,
-        )
-        .unwrap();
+        let plan = mixed_plan(&trace, &transform).unwrap();
         assert_eq!(plan.baseline, 2);
         assert_eq!(plan.green, 1);
     }
@@ -737,20 +562,7 @@ mod tests {
     fn mixed_plan_never_larger_capacity_than_double_baseline() {
         let transform = |v: &VmSpec| PlacementRequest::prefer_green(v, 1.5);
         let trace = concurrent_trace(40);
-        let n0 = right_size_baseline_only(
-            &trace,
-            ServerShape::baseline_gen3(),
-            PlacementPolicy::BestFit,
-        )
-        .unwrap();
-        let plan = right_size_mixed(
-            &trace,
-            &transform,
-            ServerShape::baseline_gen3(),
-            ServerShape::greensku(),
-            PlacementPolicy::BestFit,
-        )
-        .unwrap();
+        let (n0, plan) = size(&trace, Some(&transform), None).unwrap();
         let plan_cores = plan.baseline * 80 + plan.green * 128;
         assert!(plan_cores <= 2 * n0 * 80, "plan {plan:?} vs baseline {n0}");
     }
@@ -764,14 +576,7 @@ mod tests {
         // still find the all-green plan instead of pinning baseline
         // servers (or reporting the trace infeasible).
         let transform = |v: &VmSpec| PlacementRequest::prefer_green(v, 2.0);
-        let plan = right_size_mixed(
-            &concurrent_trace(200),
-            &transform,
-            ServerShape::baseline_gen3(),
-            ServerShape::greensku(),
-            PlacementPolicy::BestFit,
-        )
-        .unwrap();
+        let plan = mixed_plan(&concurrent_trace(200), &transform).unwrap();
         assert_eq!(plan.baseline, 0, "plan {plan:?}");
         assert_eq!(plan.green, 25);
     }
@@ -786,20 +591,7 @@ mod tests {
             green_devices: PoolDevices::greensku_full(),
             slo: None,
         };
-        let plain = right_size_baseline_only(
-            &trace,
-            ServerShape::baseline_gen3(),
-            PlacementPolicy::BestFit,
-        )
-        .unwrap();
-        let faulted = right_size_baseline_only_faulted(
-            &trace,
-            ServerShape::baseline_gen3(),
-            PlacementPolicy::BestFit,
-            Some(&inj),
-        )
-        .unwrap();
-        assert_eq!(plain, faulted);
+        assert_eq!(n0(&trace, None), n0(&trace, Some(&inj)));
     }
 
     #[test]
@@ -816,23 +608,20 @@ mod tests {
             green_devices: PoolDevices::greensku_full(),
             slo: None,
         };
-        let shape = ServerShape::baseline_gen3();
-        let plain = right_size_baseline_only(&trace, shape, PlacementPolicy::BestFit).unwrap();
-        let faulted =
-            right_size_baseline_only_faulted(&trace, shape, PlacementPolicy::BestFit, Some(&inj))
-                .unwrap();
+        let plain = n0(&trace, None).unwrap();
+        let faulted = n0(&trace, Some(&inj)).unwrap();
         assert!(faulted >= plain, "faulted {faulted} < plain {plain}");
         let config = ClusterConfig {
             baseline_count: faulted,
-            baseline_shape: shape,
+            baseline_shape: ServerShape::baseline_gen3(),
             green_count: 0,
             green_shape: ServerShape::greensku(),
         };
         let plan = inj.plan_for(&config, trace.duration_s());
         assert!(!plan.is_empty(), "at 40x AFR the plan should contain faults");
-        let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
-        let (out, summary) =
-            sim.replay_faulted(&trace, &|vm: &VmSpec| PlacementRequest::baseline_only(vm), &plan);
+        let prepared = PreparedTrace::new(&trace, &PlacementRequest::baseline_only);
+        let (out, summary) = AllocationSim::new(config, PlacementPolicy::BestFit)
+            .replay_prepared_faulted(&prepared, &plan);
         assert!(out.no_rejections());
         assert!(summary.all_evacuated());
     }
@@ -849,29 +638,22 @@ mod tests {
             slo: None,
         };
         let transform = |v: &VmSpec| PlacementRequest::prefer_green(v, 1.25);
-        let run = || {
-            right_size_mixed_faulted(
-                &trace,
-                &transform,
-                ServerShape::baseline_gen3(),
-                ServerShape::greensku(),
-                PlacementPolicy::BestFit,
-                Some(&inj),
-            )
-            .unwrap()
-        };
+        let run = || size(&trace, Some(&transform), Some(&inj)).unwrap().1;
         let a = run();
         assert_eq!(a, run());
         // And at least the fault-free capacity.
-        let plain = right_size_mixed(
-            &trace,
-            &transform,
-            ServerShape::baseline_gen3(),
-            ServerShape::greensku(),
-            PlacementPolicy::BestFit,
-        )
-        .unwrap();
+        let plain = mixed_plan(&trace, &transform).unwrap();
         assert!(a.total() >= plain.total(), "faulted {a:?} vs plain {plain:?}");
+    }
+
+    /// Smallest `n` in `[lo, hi]` with `pred(n)` true, assuming monotone
+    /// feasibility; `None` if the range is empty or even `hi` fails. The
+    /// plain search the reference skeletons below bisect with.
+    fn binary_search_min(lo: u32, hi: u32, mut pred: impl FnMut(u32) -> bool) -> Option<u32> {
+        if lo > hi || !pred(hi) {
+            return None;
+        }
+        Some(bisect(lo, hi, pred))
     }
 
     #[test]
@@ -1079,6 +861,17 @@ mod tests {
                 fleet.exact(c).feasible
             });
             assert_eq!(got_plan, want_plan, "{fleet:?}");
+            // The plain search probes the feasible `(b_min, green_cap)`
+            // twice: to find `b_min`, then again at the top of the
+            // GreenSKU search. The skeleton skips exactly that repeat.
+            let repeats: Vec<usize> =
+                (1..want.len()).filter(|&i| want[..i].contains(&want[i])).collect();
+            if want_plan.is_ok() {
+                assert_eq!(repeats.len(), 1, "{fleet:?}: {want:?}");
+                want.remove(repeats[0]);
+            } else {
+                assert!(repeats.is_empty(), "{fleet:?}: {want:?}");
+            }
             assert_eq!(got, want, "{fleet:?}");
         }
         let peak = (640, 0.0);
@@ -1096,50 +889,6 @@ mod tests {
             });
             assert_eq!(got_n, want_n);
             assert_eq!(got, want);
-        }
-    }
-
-    #[test]
-    fn prepared_sizing_matches_unprepared() {
-        let trace = concurrent_trace(30);
-        let shape = ServerShape::baseline_gen3();
-        let transform = |v: &VmSpec| PlacementRequest::prefer_green(v, 1.25);
-        let mut model = FaultModel::paper(13);
-        model.afr_scale = 40.0;
-        let inj = FaultInjection {
-            model: &model,
-            baseline_devices: PoolDevices::baseline(),
-            green_devices: PoolDevices::greensku_full(),
-            slo: None,
-        };
-        for faults in [None, Some(&inj)] {
-            assert_eq!(
-                right_size_baseline_only_faulted(&trace, shape, PlacementPolicy::BestFit, faults),
-                right_size_baseline_only_unprepared(
-                    &trace,
-                    shape,
-                    PlacementPolicy::BestFit,
-                    faults
-                ),
-            );
-            assert_eq!(
-                right_size_mixed_faulted(
-                    &trace,
-                    &transform,
-                    shape,
-                    ServerShape::greensku(),
-                    PlacementPolicy::BestFit,
-                    faults,
-                ),
-                right_size_mixed_unprepared(
-                    &trace,
-                    &transform,
-                    shape,
-                    ServerShape::greensku(),
-                    PlacementPolicy::BestFit,
-                    faults,
-                ),
-            );
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Sizing-level ablation: placement policy quality shows up as cluster
 //! size, the metric that actually costs carbon.
 
-use gsf_cluster::sizing::right_size_baseline_only;
+use gsf_cluster::sizing::{right_size, SizingRequest};
 use gsf_stats::rng::SeedFactory;
-use gsf_vmalloc::{PlacementPolicy, ServerShape};
-use gsf_workloads::{TraceGenerator, TraceParams};
+use gsf_vmalloc::{PlacementPolicy, PlacementRequest, PreparedTrace, ServerShape};
+use gsf_workloads::{Trace, TraceGenerator, TraceParams};
 
 fn trace(seed: u64) -> gsf_workloads::Trace {
     TraceGenerator::new(TraceParams {
@@ -15,6 +15,12 @@ fn trace(seed: u64) -> gsf_workloads::Trace {
     .generate(&SeedFactory::new(seed), 0)
 }
 
+/// The fewest Gen3 baseline servers hosting `trace` under `policy`.
+fn n0(trace: &Trace, policy: PlacementPolicy) -> u32 {
+    let prepared = PreparedTrace::new(trace, &PlacementRequest::baseline_only);
+    right_size(&SizingRequest::new(&prepared, ServerShape::baseline_gen3(), policy)).unwrap().0
+}
+
 #[test]
 fn best_fit_never_needs_more_servers_than_worst_fit() {
     // Averaged over several traces, best-fit right-sizes to at most as
@@ -23,12 +29,8 @@ fn best_fit_never_needs_more_servers_than_worst_fit() {
     let mut worst_total = 0u32;
     for seed in 0..4 {
         let t = trace(seed);
-        best_total +=
-            right_size_baseline_only(&t, ServerShape::baseline_gen3(), PlacementPolicy::BestFit)
-                .unwrap();
-        worst_total +=
-            right_size_baseline_only(&t, ServerShape::baseline_gen3(), PlacementPolicy::WorstFit)
-                .unwrap();
+        best_total += n0(&t, PlacementPolicy::BestFit);
+        worst_total += n0(&t, PlacementPolicy::WorstFit);
     }
     assert!(best_total <= worst_total, "best-fit {best_total} vs worst-fit {worst_total}");
 }
@@ -42,7 +44,7 @@ fn worst_fit_pays_a_real_but_bounded_packing_tax() {
     let sizes: Vec<u32> =
         [PlacementPolicy::BestFit, PlacementPolicy::FirstFit, PlacementPolicy::WorstFit]
             .iter()
-            .map(|&p| right_size_baseline_only(&t, ServerShape::baseline_gen3(), p).unwrap())
+            .map(|&p| n0(&t, p))
             .collect();
     assert_eq!(sizes[0], sizes[1], "best-fit vs first-fit: {sizes:?}");
     assert!(sizes[2] > sizes[0], "worst-fit should waste servers: {sizes:?}");
@@ -55,9 +57,5 @@ fn worst_fit_pays_a_real_but_bounded_packing_tax() {
 #[test]
 fn sizing_deterministic_per_policy() {
     let t = trace(5);
-    let a = right_size_baseline_only(&t, ServerShape::baseline_gen3(), PlacementPolicy::BestFit)
-        .unwrap();
-    let b = right_size_baseline_only(&t, ServerShape::baseline_gen3(), PlacementPolicy::BestFit)
-        .unwrap();
-    assert_eq!(a, b);
+    assert_eq!(n0(&t, PlacementPolicy::BestFit), n0(&t, PlacementPolicy::BestFit));
 }

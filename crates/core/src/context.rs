@@ -516,6 +516,18 @@ mod tests {
     use gsf_carbon::datasets::open_source;
     use gsf_carbon::units::CarbonIntensity;
 
+    /// A fault-free replay of `trace` on four Gen3 servers, as the
+    /// payload of a hand-built sizing outcome.
+    fn baseline_replay(trace: &gsf_workloads::Trace) -> gsf_vmalloc::SimOutcome {
+        let prepared = PreparedTrace::new(trace, &gsf_vmalloc::PlacementRequest::baseline_only);
+        gsf_vmalloc::AllocationSim::new(
+            gsf_vmalloc::ClusterConfig::baseline_only(4),
+            PlacementPolicy::BestFit,
+        )
+        .replay_prepared_faulted(&prepared, &gsf_vmalloc::FaultPlan::empty())
+        .0
+    }
+
     fn params() -> ModelParams {
         ModelParams::default_open_source()
     }
@@ -616,13 +628,7 @@ mod tests {
             ..TraceParams::default()
         })
         .generate(&SeedFactory::new(5), 0);
-        let replay = {
-            let mut sim = gsf_vmalloc::AllocationSim::new(
-                gsf_vmalloc::ClusterConfig::baseline_only(4),
-                PlacementPolicy::BestFit,
-            );
-            sim.replay(&trace, &|vm| gsf_vmalloc::PlacementRequest::baseline_only(vm))
-        };
+        let replay = baseline_replay(&trace);
         let outcome = || {
             Ok::<_, CarbonError>(SizingOutcome {
                 baseline_only: 7,
@@ -708,13 +714,7 @@ mod tests {
             ..TraceParams::default()
         })
         .generate(&SeedFactory::new(3), 0);
-        let replay = {
-            let mut sim = gsf_vmalloc::AllocationSim::new(
-                gsf_vmalloc::ClusterConfig::baseline_only(4),
-                PlacementPolicy::BestFit,
-            );
-            sim.replay(&trace, &|vm| gsf_vmalloc::PlacementRequest::baseline_only(vm))
-        };
+        let replay = baseline_replay(&trace);
         let outcome = |n: u32| {
             let replay = replay.clone();
             move || {
@@ -793,13 +793,7 @@ mod tests {
         assert_eq!((s.prepared_hits, s.prepared_misses, s.prepared_entries), (1, 2, 2));
 
         // Same discrimination for the sizing cache.
-        let replay = {
-            let mut sim = gsf_vmalloc::AllocationSim::new(
-                gsf_vmalloc::ClusterConfig::baseline_only(4),
-                PlacementPolicy::BestFit,
-            );
-            sim.replay(&trace, &|vm| gsf_vmalloc::PlacementRequest::baseline_only(vm))
-        };
+        let replay = baseline_replay(&trace);
         let outcome = || {
             Ok::<_, CarbonError>(SizingOutcome {
                 baseline_only: 1,

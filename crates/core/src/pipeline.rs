@@ -13,8 +13,10 @@ use gsf_carbon::{Assessment, ModelParams};
 use gsf_cluster::{
     buffer::GrowthBufferPolicy,
     savings::savings_fraction,
-    sharded::{replay_sharded, right_size_prepared_sharded},
-    sizing::{right_size_prepared, AvailabilitySlo, ClusterPlan, FaultInjection},
+    sharded::replay_sharded,
+    sizing::{
+        right_size, AvailabilitySlo, ClusterPlan, FaultInjection, MixedSearch, SizingRequest,
+    },
 };
 use gsf_maintenance::{FaultModel, PoolDevices};
 use gsf_vmalloc::{
@@ -541,52 +543,20 @@ impl GsfPipeline {
             slo: setup.slo,
         };
         let faults = (!self.config.faults.is_none()).then_some(&injection);
+        // Sharded semantics: the same searches on sharded probes, each
+        // replayed on worker threads. The result is deterministic for any
+        // worker count; only `shards` changes what is computed.
         let shards = self.config.shards;
-        if shards > 1 {
-            // Sharded semantics: same searches, sharded probes,
-            // per-shard replay on worker threads. The result is
-            // deterministic for any worker count; only `shards`
-            // changes what is computed.
-            let workers = gsf_cluster::parallel::default_workers();
-            let (n0, plan) = right_size_prepared_sharded(
-                prepared,
-                prepared_baseline,
-                baseline_shape,
-                green_shape,
-                self.config.policy,
-                faults,
-                shards,
-                workers,
-            )?;
-            let plan_buffered =
-                self.config.buffer.apply(&plan, baseline_shape.cores, green_shape.cores);
-            let config = ClusterConfig {
-                baseline_count: plan_buffered.baseline,
-                baseline_shape,
-                green_count: plan_buffered.green,
-                green_shape,
-            };
-            let mut sim = ShardedSim::new(config, self.config.policy, shards);
-            let fault_plan = match faults {
-                None => FaultPlan::empty(),
-                Some(inj) => inj.plan_for(&config, duration_s),
-            };
-            let (replay, fault_summary) = replay_sharded(&mut sim, prepared, &fault_plan, workers);
-            return Ok(crate::context::SizingOutcome {
-                baseline_only: n0,
-                plan,
-                replay,
-                faults: fault_summary,
-            });
-        }
-        let (n0, plan) = right_size_prepared(
-            prepared,
-            prepared_baseline,
+        let workers = if shards > 1 { gsf_cluster::parallel::default_workers() } else { 1 };
+        let (n0, plan) = right_size(&SizingRequest {
+            baseline: prepared_baseline,
+            mixed: Some(MixedSearch { prepared, green_shape }),
             baseline_shape,
-            green_shape,
-            self.config.policy,
+            policy: self.config.policy,
             faults,
-        )?;
+            shards,
+            workers,
+        })?;
         let plan_buffered =
             self.config.buffer.apply(&plan, baseline_shape.cores, green_shape.cores);
         // Final replay on the buffered mixed cluster for packing stats
@@ -597,13 +567,14 @@ impl GsfPipeline {
             green_count: plan_buffered.green,
             green_shape,
         };
-        let mut sim = AllocationSim::new(config, self.config.policy);
-        let (replay, fault_summary) = match faults {
-            None => (sim.replay_prepared(prepared), FaultSummary::default()),
-            Some(inj) => {
-                let fault_plan = inj.plan_for(&config, duration_s);
-                sim.replay_prepared_faulted(prepared, &fault_plan)
-            }
+        let fault_plan =
+            faults.map_or_else(FaultPlan::empty, |inj| inj.plan_for(&config, duration_s));
+        let (replay, fault_summary) = if shards > 1 {
+            let mut sim = ShardedSim::new(config, self.config.policy, shards);
+            replay_sharded(&mut sim, prepared, &fault_plan, workers)
+        } else {
+            AllocationSim::new(config, self.config.policy)
+                .replay_prepared_faulted(prepared, &fault_plan)
         };
         Ok(crate::context::SizingOutcome { baseline_only: n0, plan, replay, faults: fault_summary })
     }

@@ -5,11 +5,14 @@
 use crate::context::{ExpContext, ExpError};
 use gsf_carbon::ModelParams;
 use gsf_cluster::parallel::map_parallel;
-use gsf_cluster::sizing::{right_size_baseline_only, right_size_mixed};
+use gsf_cluster::sizing::{right_size, MixedSearch, SizingRequest};
 use gsf_core::{GreenSkuDesign, VmRouter};
 use gsf_stats::cdf::EmpiricalCdf;
 use gsf_stats::rng::SeedFactory;
-use gsf_vmalloc::{AllocationSim, ClusterConfig, PlacementPolicy, PlacementRequest, ServerShape};
+use gsf_vmalloc::{
+    AllocationSim, ClusterConfig, FaultPlan, PlacementPolicy, PlacementRequest, PreparedTrace,
+    ServerShape,
+};
 use gsf_workloads::{tracegen, Trace, TraceGenerator, VmSpec};
 
 /// Per-trace packing statistics.
@@ -56,23 +59,25 @@ pub fn packing_study(
         ServerShape { cores: design.carbon.cores(), mem_gb: design.carbon.memory_capacity().get() };
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
     let results = map_parallel(&traces, workers, |_, trace| -> Result<TracePacking, ExpError> {
-        let transform_base = |vm: &VmSpec| PlacementRequest::baseline_only(vm);
-        let n0 = right_size_baseline_only(trace, baseline_shape, policy)?;
-        let base_outcome = AllocationSim::new(ClusterConfig::baseline_only(n0), policy)
-            .replay(trace, &transform_base);
-
-        let transform_green = |vm: &VmSpec| router.request(vm);
-        let plan = right_size_mixed(trace, &transform_green, baseline_shape, green_shape, policy)?;
-        let mixed_outcome = AllocationSim::new(
-            ClusterConfig {
-                baseline_count: plan.baseline,
-                baseline_shape,
-                green_count: plan.green,
-                green_shape,
-            },
-            policy,
-        )
-        .replay(trace, &transform_green);
+        let prepared_base = PreparedTrace::new(trace, &PlacementRequest::baseline_only);
+        let prepared_green = PreparedTrace::new(trace, &|vm: &VmSpec| router.request(vm));
+        let (n0, plan) = right_size(&SizingRequest {
+            mixed: Some(MixedSearch { prepared: &prepared_green, green_shape }),
+            ..SizingRequest::new(&prepared_base, baseline_shape, policy)
+        })?;
+        let replay = |config: ClusterConfig, prepared: &PreparedTrace| {
+            AllocationSim::new(config, policy)
+                .replay_prepared_faulted(prepared, &FaultPlan::empty())
+                .0
+        };
+        let base_outcome = replay(ClusterConfig::baseline_only(n0), &prepared_base);
+        let mixed_config = ClusterConfig {
+            baseline_count: plan.baseline,
+            baseline_shape,
+            green_count: plan.green,
+            green_shape,
+        };
+        let mixed_outcome = replay(mixed_config, &prepared_green);
 
         Ok(TracePacking {
             baseline_core: base_outcome.metrics.baseline.mean_core_density(),

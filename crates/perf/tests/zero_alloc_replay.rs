@@ -15,7 +15,9 @@
 //! perturb the counts.
 
 use gsf_perf::alloc_count::CountingAllocator;
-use gsf_vmalloc::{AllocationSim, ClusterConfig, PlacementPolicy, PlacementRequest, PreparedTrace};
+use gsf_vmalloc::{
+    AllocationSim, ClusterConfig, FaultPlan, PlacementPolicy, PlacementRequest, PreparedTrace,
+};
 use gsf_workloads::{ServerGeneration, Trace, VmEvent, VmEventKind, VmSpec};
 
 #[global_allocator]
@@ -62,17 +64,18 @@ fn steady_state_replay_allocates_zero_per_event() {
     // and touch the identical app set (identical ledger-node counts).
     let config = ClusterConfig::baseline_only(60);
     let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
+    let empty = FaultPlan::empty();
 
     // Warm: grow the arena, occupancy lists, and scratch buffers to the
     // large trace's high-water marks.
-    sim.replay_prepared(&prepared_large);
+    sim.replay_prepared_faulted(&prepared_large, &empty);
     sim.reset(config);
-    sim.replay_prepared(&prepared_small);
+    sim.replay_prepared_faulted(&prepared_small, &empty);
     sim.reset(config);
 
     let mut measure = |prepared: &PreparedTrace, n_vms: usize| -> u64 {
         let before = ALLOC.allocations();
-        let out = sim.replay_prepared(prepared);
+        let (out, _) = sim.replay_prepared_faulted(prepared, &empty);
         let allocated = ALLOC.allocations() - before;
         assert_eq!(out.rejected, 0, "fixture must not reject");
         assert_eq!(out.placed_baseline, n_vms);

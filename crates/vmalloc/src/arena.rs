@@ -25,7 +25,7 @@
 //! Occupancy lists are sorted by **VM id** (not slot number), so every
 //! float reduction over a server's VMs visits them in exactly the
 //! ascending-id order the `BTreeMap` iteration used to produce — the
-//! bit-identity contract the equivalence suites pin. Slot numbers
+//! bit-identity contract the differential harness pins. Slot numbers
 //! themselves are an internal detail: they depend on free-list history
 //! and never feed a float or an output.
 

@@ -47,8 +47,9 @@
 //! (including the `1e-9` memory epsilon), same float expression for the
 //! leftover score, same strict-`<` first-index tie-break, same
 //! non-empty-beats-empty lexicographic order. The simulator cross-checks
-//! this on every selection in debug builds, and the
-//! `index_equivalence` suite in `gsf-cluster` pins it end to end.
+//! this on every selection in debug builds, and the differential
+//! harness in `gsf-cluster` pins it end to end against a reference
+//! replay that selects by the scan.
 
 use crate::cluster::ServerShape;
 use crate::policy::PlacementPolicy;

@@ -9,8 +9,8 @@
 //! selects through the incrementally maintained
 //! [`crate::index::PlacementIndex`], which is pinned bit-identical to
 //! this scan (same chosen index on every request) by a per-selection
-//! `debug_assert` in the simulator and the `index_equivalence` property
-//! suite in `gsf-cluster`.
+//! `debug_assert` in the simulator and the differential harness in
+//! `gsf-cluster`.
 
 use crate::server::ServerState;
 use serde::{Deserialize, Serialize};

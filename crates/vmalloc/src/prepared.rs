@@ -1,21 +1,21 @@
 //! Prepared-trace replay: per-(trace, routing decision) precomputation.
 //!
 //! Every sizing feasibility probe replays the same trace with the same
-//! placement transform — only the candidate cluster changes. The
-//! unprepared path re-resolves each event's VM (a by-id lookup) and
-//! recomputes its [`PlacementRequest`] on every probe even though
-//! neither depends on the cluster. A [`PreparedTrace`] does that work
-//! once: every event carries its VM's dense slot, every VM carries its
-//! precomputed request, arrivals are paired with departures (via
+//! placement transform — only the candidate cluster changes. Resolving
+//! each event's VM (a by-id lookup) and recomputing its
+//! [`PlacementRequest`] on every probe would repeat work that depends on
+//! neither. A [`PreparedTrace`] does that work once: every event carries
+//! its VM's dense slot, every VM carries its precomputed request,
+//! arrivals are paired with departures (via
 //! [`gsf_workloads::Trace::index`]) so dwell times are known up front,
 //! and the peak concurrent demand that seeds the sizing bounds is
 //! precomputed.
 //!
-//! The prepared engine ([`crate::AllocationSim::replay_prepared`] /
-//! [`crate::AllocationSim::replay_prepared_faulted`]) is pinned
-//! bit-identical to the unprepared reference path by the
-//! `prepared_equivalence` suite in `gsf-cluster` (a `ci.sh` gate):
-//! same `SimOutcome`, same `FaultSummary`, faulted and fault-free.
+//! [`crate::AllocationSim::replay_prepared_faulted`] replays a prepared
+//! trace. The differential harness in `gsf-cluster` (a `ci.sh` gate)
+//! pins it bit for bit to a reference replay that resolves every event
+//! through the transform on the spot: same `SimOutcome`, same
+//! `FaultSummary`, faulted and fault-free.
 
 use crate::simulator::{PlacementRequest, VmTransform};
 use gsf_workloads::{Trace, TraceChunkReader, TraceStreamError, VmEventKind, VmSpec};
@@ -55,10 +55,10 @@ pub(crate) struct PreparedVm {
 /// sizing probes.
 ///
 /// Bit-exactness contract: replaying a `PreparedTrace` built from
-/// `(trace, transform)` is bitwise identical to replaying
-/// `(trace, transform)` through the unprepared reference path, provided
-/// `transform` is a pure function of the `VmSpec` (every transform in
-/// this workspace is).
+/// `(trace, transform)` is bitwise identical to resolving each event of
+/// `trace` through `transform` on the spot, provided `transform` is a
+/// pure function of the `VmSpec` (every transform in this workspace
+/// is).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedTrace {
     duration_s: f64,
@@ -201,7 +201,8 @@ impl PreparedTrace {
 /// The arithmetic is ordered exactly as [`Trace::peak_demand`] and
 /// [`Trace::index`] order it, so the result is bit-identical to
 /// [`PreparedTrace::new`] on the materialized equivalent (pinned by
-/// this module's tests and the `prepared_equivalence` suite).
+/// this module's tests and the `streamed_equivalence` suite in
+/// `gsf-core`).
 pub struct PreparedTraceBuilder<'t> {
     duration_s: f64,
     transform: &'t VmTransform<'t>,

@@ -44,7 +44,7 @@ pub struct PlacedVm {
 /// VM id**. Every float reduction over a server's VMs (e.g.
 /// [`Self::max_touched_mem_fraction`], the degrade eviction loop) walks
 /// that list in order, so accumulation order — and therefore every low
-/// bit the equivalence suites pin — is exactly what the former
+/// bit the differential harness pins — is exactly what the former
 /// `BTreeMap<u64, PlacedVm>` storage produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerState {

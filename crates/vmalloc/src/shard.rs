@@ -20,8 +20,8 @@
 //! `(SimOutcome, FaultSummary)` results are merged in ascending shard
 //! order by [`merge_outcomes`] — so a run on `N` workers is bitwise
 //! equal to the serial reference
-//! ([`ShardedSim::replay_prepared_faulted`]), which the
-//! `shard_equivalence` suite in `gsf-cluster` gates in CI. At `K = 1`
+//! ([`ShardedSim::replay_prepared_faulted`]), which the differential
+//! harness in `gsf-cluster` gates in CI. At `K = 1`
 //! every VM routes to shard 0 and the merge is the identity, so the
 //! sharded engine degenerates to the unsharded one bit-for-bit.
 //!
@@ -303,13 +303,6 @@ impl ShardedSim {
         Self { sims, plan, policy }
     }
 
-    /// Switches every shard to the linear reference selection (see
-    /// [`AllocationSim::with_linear_selection`]); survives `reset`.
-    pub fn with_linear_selection(mut self) -> Self {
-        self.sims = self.sims.into_iter().map(AllocationSim::with_linear_selection).collect();
-        self
-    }
-
     /// Re-shapes to `config`, keeping the shard count; every shard
     /// resets like a fresh simulator.
     pub fn reset(&mut self, config: ClusterConfig) {
@@ -372,11 +365,6 @@ impl ShardedSim {
             summary.availability.blast_radius_servers = faults.max_correlated_strikes();
         }
         (out, summary)
-    }
-
-    /// Serial reference replay without faults.
-    pub fn replay_prepared(&mut self, prepared: &PreparedTrace) -> SimOutcome {
-        self.replay_prepared_faulted(prepared, &FaultPlan::empty()).0
     }
 }
 
@@ -555,11 +543,13 @@ mod tests {
         let prepared = PreparedTrace::new(&t, &transform);
         let config = ClusterConfig::mixed(5, 3);
         let mut sim = ShardedSim::new(config, PlacementPolicy::BestFit, 3);
-        let first = sim.replay_prepared(&prepared);
+        let empty = FaultPlan::empty();
+        let first = sim.replay_prepared_faulted(&prepared, &empty);
         sim.reset(config);
-        let second = sim.replay_prepared(&prepared);
+        let second = sim.replay_prepared_faulted(&prepared, &empty);
         assert_eq!(first, second);
-        let fresh = ShardedSim::new(config, PlacementPolicy::BestFit, 3).replay_prepared(&prepared);
+        let fresh = ShardedSim::new(config, PlacementPolicy::BestFit, 3)
+            .replay_prepared_faulted(&prepared, &empty);
         assert_eq!(first, fresh);
     }
 
@@ -571,8 +561,8 @@ mod tests {
         let prepared = PreparedTrace::new(&t, &transform);
         let config = ClusterConfig::mixed(6, 4);
         for shards in [1usize, 2, 3, 5, 8] {
-            let out = ShardedSim::new(config, PlacementPolicy::BestFit, shards)
-                .replay_prepared(&prepared);
+            let (out, _) = ShardedSim::new(config, PlacementPolicy::BestFit, shards)
+                .replay_prepared_faulted(&prepared, &FaultPlan::empty());
             assert_eq!(out.rejected + out.placed_green + out.placed_baseline, 80, "K={shards}");
         }
     }

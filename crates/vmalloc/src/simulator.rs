@@ -1,33 +1,19 @@
 //! The allocation simulator: replays a trace against a two-pool cluster.
 //!
-//! Two replay engines share the same semantics and are pinned bitwise
-//! identical to each other (the `prepared_equivalence` suite in
-//! `gsf-cluster` is a CI gate):
+//! [`AllocationSim::replay_prepared_faulted`] is the one run method. It
+//! consumes a [`PreparedTrace`], whose events carry dense VM slots and
+//! precomputed [`PlacementRequest`]s, so a sizing search replays the
+//! same plan across every probe without re-resolving anything. Callers
+//! build the plan once per (trace, transform) pair; the empty
+//! [`FaultPlan`] gives the fault-free replay.
 //!
-//! - the **prepared** engine ([`AllocationSim::replay_prepared`],
-//!   [`AllocationSim::replay_prepared_faulted`]) consumes a
-//!   [`PreparedTrace`] — events carry dense VM slots and precomputed
-//!   [`PlacementRequest`]s, so a sizing search replays the same plan
-//!   across every probe without re-resolving anything;
-//! - the **unprepared** reference engine
-//!   ([`AllocationSim::replay_unprepared`],
-//!   [`AllocationSim::replay_faulted_unprepared`]) resolves VMs and
-//!   requests on the fly, per event. It exists as the independent
-//!   reference the equivalence suite and the
-//!   `ablation_prepared_replay` bench compare against.
-//!
-//! [`AllocationSim::replay`] / [`AllocationSim::replay_faulted`] build
-//! a [`PreparedTrace`] and route through the prepared engine.
-//!
-//! Server selection likewise has two pinned-equivalent paths: the
-//! default **indexed** selection routes every `choose` through a
-//! [`PlacementIndex`] per pool (maintained incrementally across
-//! `place`/`remove`/`fail`/`degrade`/`reset`), while
-//! [`AllocationSim::with_linear_selection`] keeps the original O(N)
-//! [`PlacementPolicy::choose_linear`] scan as the reference engine. The
-//! two are bit-identical on every request (debug builds assert it per
-//! selection; the `index_equivalence` suite in `gsf-cluster` is the CI
-//! gate).
+//! Every placement selects its server through a [`PlacementIndex`] per
+//! pool, maintained incrementally across
+//! `place`/`remove`/`fail`/`degrade`/`reset`. Debug builds cross-check
+//! each selection against the O(N) [`PlacementPolicy::choose_linear`]
+//! scan. The differential harness in `gsf-cluster` (a `ci.sh` gate)
+//! pins the whole replay bit for bit to a reference simulator that
+//! resolves each event on the spot and selects by that scan.
 
 use crate::arena::VmArena;
 use crate::cluster::ClusterConfig;
@@ -39,7 +25,7 @@ use crate::policy::PlacementPolicy;
 use crate::prepared::{PreparedEvent, PreparedTrace};
 use crate::server::{PlacedVm, ServerState};
 use crate::usage::UsageLedger;
-use gsf_workloads::{Trace, VmEventKind, VmSpec};
+use gsf_workloads::{VmEventKind, VmSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -174,10 +160,9 @@ pub struct AllocationSim {
     /// Placement high-water marks since the last reset; read by
     /// [`Self::high_water_marks`], never part of a [`SimOutcome`].
     high_water: HighWaterMarks,
-    /// Free-capacity index per pool; `None` selects through the linear
-    /// reference scan (and skips all index maintenance).
-    baseline_index: Option<PlacementIndex>,
-    green_index: Option<PlacementIndex>,
+    /// Free-capacity index per pool.
+    baseline_index: PlacementIndex,
+    green_index: PlacementIndex,
     /// Pristine per-pool shapes, kept so a [`FaultKind::Revive`] can
     /// restore a repaired server to its original capacity even after a
     /// degrade took it offline-adjacent.
@@ -192,14 +177,14 @@ pub struct AllocationSim {
 
 /// Simulator-owned buffers reused across replays and events so the
 /// steady-state event loop performs no heap allocation: the active-VM
-/// table of the prepared engine plus the displaced/retry/pending-drain
-/// buffers of the fault paths. Each buffer is taken
+/// table plus the displaced/retry/pending-drain buffers of the fault
+/// path. Each buffer is taken
 /// ([`std::mem::take`]) for the duration of a pass that also needs
 /// `&mut self`, then cleared and put back, which preserves its
 /// capacity for the next replay.
 #[derive(Debug, Default)]
 struct ReplayScratch {
-    /// Prepared-path active-VM table, indexed by trace slot.
+    /// Active-VM table, indexed by trace slot.
     placements: Vec<Option<ActiveVm>>,
     /// Ids displaced by the current fault (strike output, then the
     /// still-homeless set between retry passes).
@@ -212,9 +197,9 @@ struct ReplayScratch {
     pending_ids: Vec<u64>,
 }
 
-/// Per-replay fault bookkeeping shared by both engines: the pending
-/// re-placement queue and offline-server tracking that turn terminal
-/// evacuation failures into measured downtime once repairs exist.
+/// Per-replay fault bookkeeping: the pending re-placement queue and
+/// offline-server tracking that turn terminal evacuation failures into
+/// measured downtime once repairs exist.
 struct FaultRuntime {
     /// VMs displaced into a saturated fleet, waiting for capacity to
     /// return: id → time the wait began. Drained (ascending id) when a
@@ -227,7 +212,7 @@ struct FaultRuntime {
     /// [`crate::AvailabilitySummary::server_down_seconds`].
     down_since: BTreeMap<(FaultPool, u32), f64>,
     /// VM-seconds of settled residency, accumulated at every usage
-    /// settlement site in exactly the order the engines settle.
+    /// settlement site in settlement order.
     served_s: f64,
 }
 
@@ -245,8 +230,8 @@ impl AllocationSim {
             (0..config.baseline_count).map(|_| ServerState::new(config.baseline_shape)).collect();
         let green: Vec<ServerState> =
             (0..config.green_count).map(|_| ServerState::new(config.green_shape)).collect();
-        let baseline_index = Some(PlacementIndex::new(&baseline));
-        let green_index = Some(PlacementIndex::new(&green));
+        let baseline_index = PlacementIndex::new(&baseline);
+        let green_index = PlacementIndex::new(&green);
         Self {
             baseline,
             green,
@@ -286,18 +271,6 @@ impl AllocationSim {
         self.high_water
     }
 
-    /// Switches to the linear full-scan reference selection
-    /// ([`PlacementPolicy::choose_linear`]) and drops the placement
-    /// indexes, so no maintenance cost is paid either. Placement
-    /// decisions are bit-identical to the indexed default; this mode
-    /// exists as the executable spec for the `index_equivalence` suite
-    /// and the `ablation_indexed_placement` bench.
-    pub fn with_linear_selection(mut self) -> Self {
-        self.baseline_index = None;
-        self.green_index = None;
-        self
-    }
-
     /// Re-shapes the cluster to `config` and empties every server,
     /// reusing the pool vectors, the occupancy lists, the VM arena's
     /// columns, and the replay scratch buffers. A reset
@@ -321,52 +294,24 @@ impl AllocationSim {
         self.high_water = HighWaterMarks::default();
         self.baseline_shape = config.baseline_shape;
         self.green_shape = config.green_shape;
-        if let Some(index) = &mut self.baseline_index {
-            index.rebuild(&self.baseline);
-        }
-        if let Some(index) = &mut self.green_index {
-            index.rebuild(&self.green);
-        }
+        self.baseline_index.rebuild(&self.baseline);
+        self.green_index.rebuild(&self.green);
     }
 
-    /// Replays `trace`, resolving each VM through `transform`.
-    ///
-    /// Rejected VMs are counted and dropped (their later departure is a
-    /// no-op); the cluster-sizing search treats any rejection as "this
-    /// cluster is too small".
-    ///
-    /// Builds a [`PreparedTrace`] and routes through
-    /// [`Self::replay_prepared`]; callers replaying the same
-    /// (trace, transform) repeatedly should build the plan once
-    /// themselves.
-    ///
-    /// Leaves the simulator holding the end-of-trace allocation state;
-    /// call [`Self::reset`] before replaying again.
-    pub fn replay(&mut self, trace: &Trace, transform: &VmTransform<'_>) -> SimOutcome {
-        let prepared = PreparedTrace::new(trace, transform);
-        self.replay_prepared(&prepared)
-    }
-
-    /// Replays `trace` while injecting the failures scheduled in
-    /// `plan`. Routes through [`Self::replay_prepared_faulted`]; see
-    /// there for fault semantics.
-    pub fn replay_faulted(
-        &mut self,
-        trace: &Trace,
-        transform: &VmTransform<'_>,
-        plan: &FaultPlan,
-    ) -> (SimOutcome, FaultSummary) {
-        let prepared = PreparedTrace::new(trace, transform);
-        self.replay_prepared_faulted(&prepared, plan)
-    }
-
-    /// Replays a prepared plan with no faults.
+    /// Kept for the `benchmark/` package, which calls it: forwards to
+    /// [`Self::replay_prepared_faulted`] with the empty fault plan.
     pub fn replay_prepared(&mut self, prepared: &PreparedTrace) -> SimOutcome {
         self.replay_prepared_faulted(prepared, &FaultPlan::empty()).0
     }
 
     /// Replays a prepared plan while injecting the failures scheduled
-    /// in `plan`.
+    /// in `plan`; the empty plan gives the fault-free replay.
+    ///
+    /// Rejected VMs are counted and dropped (their later departure is a
+    /// no-op); the cluster-sizing search treats any rejection as "this
+    /// cluster is too small". The simulator is left holding the
+    /// end-of-trace allocation state; call [`Self::reset`] before
+    /// replaying again.
     ///
     /// Faults due at time `t` are applied before any trace event at
     /// `t`, and after any metrics snapshot due at `t` (the snapshot
@@ -383,11 +328,11 @@ impl AllocationSim {
     /// without ever finding a home are counted as
     /// [`FaultSummary::evacuation_failures`], and every second a VM
     /// spends in the queue accrues to
-    /// [`crate::AvailabilitySummary::vm_seconds_lost`]. An empty plan
-    /// makes this bit-identical to [`Self::replay_prepared`], and a
-    /// revive-free plan leaves every displaced-but-unplaceable VM
-    /// failing exactly as before (only the time at which the failure is
-    /// counted moves from the fault to the departure/horizon).
+    /// [`crate::AvailabilitySummary::vm_seconds_lost`]. The empty plan
+    /// returns the default `FaultSummary`, and a revive-free plan leaves
+    /// every displaced-but-unplaceable VM failing exactly as before (only
+    /// the time at which the failure is counted moves from the fault to
+    /// the departure/horizon).
     pub fn replay_prepared_faulted(
         &mut self,
         prepared: &PreparedTrace,
@@ -557,8 +502,8 @@ impl AllocationSim {
         )
     }
 
-    /// Horizon close-out of the fault runtime, identical for both
-    /// engines: pending VMs never re-placed become evacuation failures
+    /// Horizon close-out of the fault runtime: pending VMs never
+    /// re-placed become evacuation failures
     /// with downtime to the horizon, still-offline servers accrue
     /// down-seconds to the horizon, and the served-time denominator is
     /// published — but only when at least one fault actually struck, so
@@ -574,177 +519,6 @@ impl AllocationSim {
         if summary.faults_applied() {
             summary.availability.vm_seconds_served = runtime.served_s;
         }
-    }
-
-    /// Reference replay that resolves each VM through `transform` per
-    /// event, without a [`PreparedTrace`]. Bit-identical to
-    /// [`Self::replay`]; kept as the independent path the equivalence
-    /// suite and the prepared-replay ablation compare against.
-    pub fn replay_unprepared(&mut self, trace: &Trace, transform: &VmTransform<'_>) -> SimOutcome {
-        self.replay_faulted_unprepared(trace, transform, &FaultPlan::empty()).0
-    }
-
-    /// Reference faulted replay without a [`PreparedTrace`];
-    /// bit-identical to [`Self::replay_faulted`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a trace event references a VM id missing from the
-    /// trace's VM table (generated traces are always self-consistent).
-    pub fn replay_faulted_unprepared(
-        &mut self,
-        trace: &Trace,
-        transform: &VmTransform<'_>,
-        plan: &FaultPlan,
-    ) -> (SimOutcome, FaultSummary) {
-        let mut placements: BTreeMap<u64, ActiveVm> = BTreeMap::new();
-        let mut usage = UsageLedger::new();
-        let mut metrics = PackingMetrics::new();
-        let mut rejected = 0usize;
-        let mut placed_green = 0usize;
-        let mut placed_baseline = 0usize;
-        let mut green_overflow = 0usize;
-        let mut next_snapshot = self.snapshot_interval_s;
-        let mut summary = FaultSummary::default();
-        let mut runtime = FaultRuntime::new();
-        let faults = plan.events();
-        let mut next_fault = 0usize;
-        let duration_s = trace.duration_s();
-
-        for event in trace.events() {
-            // Faults due by this event apply first — but never past the
-            // horizon, even when the trace's event tail extends beyond
-            // it (a repair completing after the horizon must not land).
-            while next_fault < faults.len()
-                && faults[next_fault].time_s <= event.time_s
-                && faults[next_fault].time_s <= duration_s
-            {
-                self.drain_snapshots(
-                    &mut metrics,
-                    &mut next_snapshot,
-                    faults[next_fault].time_s,
-                    duration_s,
-                );
-                self.apply_fault(
-                    &faults[next_fault],
-                    plan.max_evac_passes(),
-                    trace,
-                    transform,
-                    &mut placements,
-                    &mut usage,
-                    &mut summary,
-                    &mut runtime,
-                );
-                next_fault += 1;
-            }
-            self.drain_snapshots(&mut metrics, &mut next_snapshot, event.time_s, duration_s);
-            let vm = trace.vm(event.vm_id).expect("trace events reference known VMs");
-            match event.kind {
-                VmEventKind::Arrival => {
-                    let request = transform(vm);
-                    match self.place(vm.id, vm.max_mem_util, &request) {
-                        Some(p @ Placement::Green(_)) => {
-                            placed_green += 1;
-                            placements.insert(
-                                vm.id,
-                                ActiveVm {
-                                    placement: p,
-                                    arrival_s: event.time_s,
-                                    cores: request.green_cores,
-                                    app_index: vm.app_index,
-                                },
-                            );
-                        }
-                        Some(p @ Placement::Baseline(_)) => {
-                            placed_baseline += 1;
-                            if request.target == TargetPool::PreferGreen {
-                                green_overflow += 1;
-                            }
-                            placements.insert(
-                                vm.id,
-                                ActiveVm {
-                                    placement: p,
-                                    arrival_s: event.time_s,
-                                    cores: request.baseline_cores,
-                                    app_index: vm.app_index,
-                                },
-                            );
-                        }
-                        None => rejected += 1,
-                    }
-                }
-                VmEventKind::Departure => {
-                    // A miss means the VM was rejected on arrival — or
-                    // displaced into the pending queue, in which case
-                    // the wait ends here as a failure.
-                    if let Some(active) = placements.remove(&vm.id) {
-                        let dwell = event.time_s - active.arrival_s;
-                        runtime.served_s += dwell;
-                        self.remove_placed(active.placement, vm.id);
-                        match active.placement {
-                            Placement::Baseline(_) => {
-                                usage.record_baseline(active.app_index, active.cores, dwell);
-                            }
-                            Placement::Green(_) => {
-                                usage.record_green(active.app_index, active.cores, dwell);
-                            }
-                        }
-                    } else if let Some(since) = runtime.pending.remove(&vm.id) {
-                        summary.evacuation_failures += 1;
-                        summary.availability.vm_seconds_lost += event.time_s - since;
-                    }
-                }
-            }
-        }
-        // Faults past the last trace event but within the horizon still
-        // strike (their evacuation failures count).
-        while next_fault < faults.len() && faults[next_fault].time_s <= duration_s {
-            self.drain_snapshots(
-                &mut metrics,
-                &mut next_snapshot,
-                faults[next_fault].time_s,
-                duration_s,
-            );
-            self.apply_fault(
-                &faults[next_fault],
-                plan.max_evac_passes(),
-                trace,
-                transform,
-                &mut placements,
-                &mut usage,
-                &mut summary,
-                &mut runtime,
-            );
-            next_fault += 1;
-        }
-        self.drain_snapshots(&mut metrics, &mut next_snapshot, duration_s, duration_s);
-        metrics.snapshot(&self.baseline, &self.green, &self.arena);
-        // VMs still resident at the horizon are charged to the end of
-        // the trace. Settlement must run in ascending VM-id order — a
-        // `HashMap` here once made the per-app `+=` accumulation order
-        // (and thus the low bits of usage totals) vary run-to-run; the
-        // `BTreeMap` iterates ascending by id, which is exactly that
-        // order.
-        for (_, active) in placements {
-            let dwell = duration_s - active.arrival_s;
-            runtime.served_s += dwell;
-            match active.placement {
-                Placement::Baseline(_) => {
-                    usage.record_baseline(active.app_index, active.cores, dwell);
-                }
-                Placement::Green(_) => {
-                    usage.record_green(active.app_index, active.cores, dwell);
-                }
-            }
-        }
-        Self::settle_fault_runtime(&mut summary, &runtime, duration_s);
-        if summary.faults_applied() {
-            summary.availability.blast_radius_servers = plan.max_correlated_strikes();
-        }
-        (
-            SimOutcome { rejected, placed_green, placed_baseline, green_overflow, metrics, usage },
-            summary,
-        )
     }
 
     /// Takes every metrics snapshot due at or before `upto`, leaving
@@ -795,9 +569,7 @@ impl AllocationSim {
             }
             server.reset(pristine);
             summary.revivals += 1;
-            if let Some(index) = index.as_mut() {
-                index.refresh(struck, server);
-            }
+            index.refresh(struck, server);
             return Some(());
         }
         if server.is_offline() {
@@ -822,14 +594,12 @@ impl AllocationSim {
             // match needs no panic arm.
             FaultKind::Revive => {}
         }
-        if let Some(index) = index.as_mut() {
-            index.refresh(struck, server);
-        }
+        index.refresh(struck, server);
         displaced.sort_unstable();
         Some(())
     }
 
-    /// Applies one fault on the prepared path: strikes the server,
+    /// Applies one fault: strikes the server,
     /// settles usage for displaced VMs up to the fault time, then tries
     /// to re-place them (ascending id order) with bounded retry passes;
     /// VMs still homeless afterwards join the pending queue. A revive
@@ -969,8 +739,8 @@ impl AllocationSim {
         }
     }
 
-    /// Drains the pending queue on the prepared path after a revive, in
-    /// ascending VM-id order. A single pass is complete: placements
+    /// Drains the pending queue after a revive, in ascending VM-id
+    /// order. A single pass is complete: placements
     /// only consume capacity, so a VM that does not fit now will not
     /// fit later in the same drain. Unresolvable ids stay queued (they
     /// have no request to re-place with) and fail at the horizon.
@@ -1013,197 +783,17 @@ impl AllocationSim {
         self.scratch.pending_ids = ids;
     }
 
-    /// Applies one fault on the unprepared path; mirrors
-    /// [`Self::apply_fault_prepared`] exactly.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_fault(
-        &mut self,
-        fault: &FaultEvent,
-        max_passes: u32,
-        trace: &Trace,
-        transform: &VmTransform<'_>,
-        placements: &mut BTreeMap<u64, ActiveVm>,
-        usage: &mut UsageLedger,
-        summary: &mut FaultSummary,
-        runtime: &mut FaultRuntime,
-    ) {
-        let mut pending = std::mem::take(&mut self.scratch.displaced);
-        let mut unplaced = std::mem::take(&mut self.scratch.unplaced);
-        self.apply_fault_buffered(
-            fault,
-            max_passes,
-            trace,
-            transform,
-            placements,
-            usage,
-            summary,
-            runtime,
-            &mut pending,
-            &mut unplaced,
-        );
-        pending.clear();
-        unplaced.clear();
-        self.scratch.displaced = pending;
-        self.scratch.unplaced = unplaced;
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn apply_fault_buffered(
-        &mut self,
-        fault: &FaultEvent,
-        max_passes: u32,
-        trace: &Trace,
-        transform: &VmTransform<'_>,
-        placements: &mut BTreeMap<u64, ActiveVm>,
-        usage: &mut UsageLedger,
-        summary: &mut FaultSummary,
-        runtime: &mut FaultRuntime,
-        pending: &mut Vec<u64>,
-        unplaced: &mut Vec<u64>,
-    ) {
-        if self.strike(fault, summary, pending).is_none() {
-            return;
-        }
-        if matches!(fault.kind, FaultKind::Revive) {
-            if let Some(since) = runtime.down_since.remove(&(fault.pool, fault.server)) {
-                summary.availability.server_down_seconds += fault.time_s - since;
-            }
-            self.drain_pending(fault.time_s, trace, transform, placements, summary, runtime);
-            return;
-        }
-        if matches!(fault.kind, FaultKind::FullFailure) {
-            runtime.down_since.insert((fault.pool, fault.server), fault.time_s);
-        }
-        if pending.is_empty() {
-            return;
-        }
-        summary.displaced += pending.len();
-        summary.availability.max_simultaneous_displaced = summary
-            .availability
-            .max_simultaneous_displaced
-            .max(runtime.pending.len() + pending.len());
-        // Close out the displaced VMs' residency on their old server.
-        for id in pending.iter() {
-            if let Some(active) = placements.remove(id) {
-                let dwell = fault.time_s - active.arrival_s;
-                runtime.served_s += dwell;
-                match active.placement {
-                    Placement::Baseline(_) => {
-                        usage.record_baseline(active.app_index, active.cores, dwell);
-                    }
-                    Placement::Green(_) => {
-                        usage.record_green(active.app_index, active.cores, dwell);
-                    }
-                }
-            }
-        }
-        // Bounded re-placement: each pass retries the still-homeless
-        // VMs; a pass that places nothing ends the loop early (nothing
-        // will change on the next pass either). The pass output buffer
-        // swaps with the input instead of allocating per pass.
-        for _ in 0..max_passes {
-            if pending.is_empty() {
-                break;
-            }
-            unplaced.clear();
-            for &id in pending.iter() {
-                let Some(vm) = trace.vm(id) else {
-                    // Mirror of the prepared path: an unresolvable
-                    // displaced id must still be counted as an
-                    // evacuation failure, not silently dropped.
-                    unplaced.push(id);
-                    continue;
-                };
-                let request = transform(vm);
-                match self.place(vm.id, vm.max_mem_util, &request) {
-                    Some(p) => {
-                        summary.evacuated += 1;
-                        let cores = match p {
-                            Placement::Green(_) => request.green_cores,
-                            Placement::Baseline(_) => request.baseline_cores,
-                        };
-                        placements.insert(
-                            id,
-                            ActiveVm {
-                                placement: p,
-                                arrival_s: fault.time_s,
-                                cores,
-                                app_index: vm.app_index,
-                            },
-                        );
-                    }
-                    None => unplaced.push(id),
-                }
-            }
-            let progressed = unplaced.len() < pending.len();
-            std::mem::swap(pending, unplaced);
-            if !progressed {
-                break;
-            }
-        }
-        // Still homeless: wait in the pending queue for capacity to
-        // return (a revive drains it; departure/horizon fail it).
-        for &id in pending.iter() {
-            runtime.pending.insert(id, fault.time_s);
-        }
-    }
-
-    /// Unprepared mirror of [`Self::drain_pending_prepared`].
-    fn drain_pending(
-        &mut self,
-        now: f64,
-        trace: &Trace,
-        transform: &VmTransform<'_>,
-        placements: &mut BTreeMap<u64, ActiveVm>,
-        summary: &mut FaultSummary,
-        runtime: &mut FaultRuntime,
-    ) {
-        if runtime.pending.is_empty() {
-            return;
-        }
-        // Same reused id buffer as the prepared drain.
-        let mut ids = std::mem::take(&mut self.scratch.pending_ids);
-        ids.clear();
-        ids.extend(runtime.pending.keys().copied());
-        for &id in &ids {
-            let Some(vm) = trace.vm(id) else {
-                continue;
-            };
-            let request = transform(vm);
-            if let Some(p) = self.place(vm.id, vm.max_mem_util, &request) {
-                summary.evacuated += 1;
-                if let Some(since) = runtime.pending.remove(&id) {
-                    summary.availability.vm_seconds_lost += now - since;
-                }
-                let cores = match p {
-                    Placement::Green(_) => request.green_cores,
-                    Placement::Baseline(_) => request.baseline_cores,
-                };
-                placements.insert(
-                    id,
-                    ActiveVm { placement: p, arrival_s: now, cores, app_index: vm.app_index },
-                );
-            }
-        }
-        ids.clear();
-        self.scratch.pending_ids = ids;
-    }
-
     /// Removes a VM from the server it occupies, keeping that pool's
     /// index in sync.
     fn remove_placed(&mut self, placement: Placement, vm_id: u64) {
         match placement {
             Placement::Baseline(i) => {
                 self.baseline[i].remove(&mut self.arena, vm_id);
-                if let Some(index) = &mut self.baseline_index {
-                    index.refresh(i, &self.baseline[i]);
-                }
+                self.baseline_index.refresh(i, &self.baseline[i]);
             }
             Placement::Green(i) => {
                 self.green[i].remove(&mut self.arena, vm_id);
-                if let Some(index) = &mut self.green_index {
-                    index.refresh(i, &self.green[i]);
-                }
+                self.green_index.refresh(i, &self.green[i]);
             }
         }
     }
@@ -1218,7 +808,7 @@ impl AllocationSim {
             choose_in(
                 sim.policy,
                 &sim.baseline,
-                sim.baseline_index.as_ref(),
+                &sim.baseline_index,
                 request.baseline_cores,
                 request.baseline_mem_gb,
             )
@@ -1228,7 +818,7 @@ impl AllocationSim {
             TargetPool::PreferGreen => choose_in(
                 self.policy,
                 &self.green,
-                self.green_index.as_ref(),
+                &self.green_index,
                 request.green_cores,
                 request.green_mem_gb,
             )
@@ -1246,9 +836,7 @@ impl AllocationSim {
                         max_mem_util,
                     },
                 );
-                if let Some(index) = &mut self.baseline_index {
-                    index.refresh(i, &self.baseline[i]);
-                }
+                self.baseline_index.refresh(i, &self.baseline[i]);
                 self.high_water.baseline = self.high_water.baseline.max(i as u32 + 1);
             }
             Some(Placement::Green(i)) => {
@@ -1261,9 +849,7 @@ impl AllocationSim {
                         max_mem_util,
                     },
                 );
-                if let Some(index) = &mut self.green_index {
-                    index.refresh(i, &self.green[i]);
-                }
+                self.green_index.refresh(i, &self.green[i]);
                 self.high_water.green = self.high_water.green.max(i as u32 + 1);
             }
             None => {}
@@ -1272,41 +858,61 @@ impl AllocationSim {
     }
 }
 
-/// Selects a server for one request: through the pool's placement index
-/// when one is maintained, through the linear reference scan otherwise.
+/// Selects a server for one request through the pool's placement index.
 ///
-/// Debug builds cross-check every indexed selection against
+/// Debug builds cross-check every selection against
 /// [`PlacementPolicy::choose_linear`] *and* re-validate the whole index
 /// against the pool, so any mutation path that forgets to refresh the
 /// index fails loudly in tests instead of silently diverging.
 fn choose_in(
     policy: PlacementPolicy,
     servers: &[ServerState],
-    index: Option<&PlacementIndex>,
+    index: &PlacementIndex,
     cores: u32,
     mem_gb: f64,
 ) -> Option<usize> {
-    match index {
-        Some(index) => {
-            debug_assert!(index.validate(servers), "placement index out of sync with its pool");
-            let chosen = index.choose(policy, servers, cores, mem_gb);
-            debug_assert_eq!(
-                chosen,
-                policy.choose_linear(servers, cores, mem_gb),
-                "indexed selection diverged from the linear reference \
-                 ({policy}, cores={cores}, mem_gb={mem_gb})"
-            );
-            chosen
-        }
-        None => policy.choose_linear(servers, cores, mem_gb),
-    }
+    debug_assert!(index.validate(servers), "placement index out of sync with its pool");
+    let chosen = index.choose(policy, servers, cores, mem_gb);
+    debug_assert_eq!(
+        chosen,
+        policy.choose_linear(servers, cores, mem_gb),
+        "indexed selection diverged from the linear reference \
+         ({policy}, cores={cores}, mem_gb={mem_gb})"
+    );
+    chosen
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use gsf_workloads::{ServerGeneration, VmEvent};
+    use gsf_workloads::{ServerGeneration, Trace, VmEvent};
+
+    /// Test shorthand: prepare `trace` under `transform`, then replay.
+    trait PrepareAndReplay {
+        fn prepare_and_replay(&mut self, trace: &Trace, transform: &VmTransform<'_>) -> SimOutcome;
+        fn prepare_and_replay_faulted(
+            &mut self,
+            trace: &Trace,
+            transform: &VmTransform<'_>,
+            plan: &FaultPlan,
+        ) -> (SimOutcome, FaultSummary);
+    }
+
+    impl PrepareAndReplay for AllocationSim {
+        fn prepare_and_replay(&mut self, trace: &Trace, transform: &VmTransform<'_>) -> SimOutcome {
+            self.prepare_and_replay_faulted(trace, transform, &FaultPlan::empty()).0
+        }
+
+        fn prepare_and_replay_faulted(
+            &mut self,
+            trace: &Trace,
+            transform: &VmTransform<'_>,
+            plan: &FaultPlan,
+        ) -> (SimOutcome, FaultSummary) {
+            self.replay_prepared_faulted(&PreparedTrace::new(trace, transform), plan)
+        }
+    }
 
     fn vm(id: u64, cores: u32, mem: f64, full_node: bool) -> VmSpec {
         VmSpec {
@@ -1343,7 +949,7 @@ mod tests {
         let vms: Vec<VmSpec> = (0..11).map(|i| vm(i, 8, 32.0, false)).collect();
         let events: Vec<VmEvent> = (0..11).map(|i| arrive(i, f64::from(i as u32))).collect();
         let mut sim = AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit);
-        let out = sim.replay(&trace(vms, events), &baseline_transform);
+        let out = sim.prepare_and_replay(&trace(vms, events), &baseline_transform);
         assert_eq!(out.placed_baseline, 10);
         assert_eq!(out.rejected, 1);
     }
@@ -1354,7 +960,7 @@ mod tests {
         let events =
             vec![arrive(0, 1.0), depart(0, 2.0), arrive(1, 3.0), depart(1, 4.0), arrive(2, 5.0)];
         let mut sim = AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit);
-        let out = sim.replay(&trace(vms, events), &baseline_transform);
+        let out = sim.prepare_and_replay(&trace(vms, events), &baseline_transform);
         assert_eq!(out.rejected, 0);
         assert_eq!(out.placed_baseline, 3);
     }
@@ -1368,7 +974,7 @@ mod tests {
         let vms: Vec<VmSpec> = (0..13).map(|i| vm(i, 8, 32.0, false)).collect();
         let events: Vec<VmEvent> = (0..13).map(|i| arrive(i, f64::from(i as u32))).collect();
         let mut sim = AllocationSim::new(ClusterConfig::mixed(1, 1), PlacementPolicy::BestFit);
-        let out = sim.replay(&trace(vms, events), &transform);
+        let out = sim.prepare_and_replay(&trace(vms, events), &transform);
         assert_eq!(out.placed_green, 12);
         assert_eq!(out.placed_baseline, 1);
         assert_eq!(out.green_overflow, 1);
@@ -1387,7 +993,7 @@ mod tests {
         let vms = vec![vm(0, 80, 768.0, true), vm(1, 8, 32.0, false)];
         let events = vec![arrive(0, 1.0), arrive(1, 2.0)];
         let mut sim = AllocationSim::new(ClusterConfig::mixed(1, 1), PlacementPolicy::BestFit);
-        let out = sim.replay(&trace(vms, events), &transform);
+        let out = sim.prepare_and_replay(&trace(vms, events), &transform);
         assert_eq!(out.placed_baseline, 1);
         assert_eq!(out.placed_green, 1);
         assert_eq!(out.green_overflow, 0);
@@ -1400,7 +1006,7 @@ mod tests {
         let vms = vec![vm(0, 8, 400.0, false), vm(1, 8, 400.0, false)];
         let events = vec![arrive(0, 1.0), arrive(1, 2.0)];
         let mut sim = AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit);
-        let out = sim.replay(&trace(vms, events), &baseline_transform);
+        let out = sim.prepare_and_replay(&trace(vms, events), &baseline_transform);
         assert_eq!(out.placed_baseline, 1);
         assert_eq!(out.rejected, 1);
     }
@@ -1412,7 +1018,7 @@ mod tests {
             (0..4).map(|i| arrive(i, f64::from(i as u32) * 4000.0)).collect();
         let mut sim = AllocationSim::new(ClusterConfig::baseline_only(2), PlacementPolicy::BestFit)
             .with_snapshot_interval(3600.0);
-        let out = sim.replay(&trace(vms, events), &baseline_transform);
+        let out = sim.prepare_and_replay(&trace(vms, events), &baseline_transform);
         assert!(out.metrics.snapshots() >= 3);
         // Density on the non-empty server should be positive.
         assert!(out.metrics.baseline.mean_core_density() > 0.0);
@@ -1427,19 +1033,12 @@ mod tests {
         let vms = vec![vm(0, 8, 32.0, false)];
         let events = vec![arrive(0, 10.0)];
         let t = Trace::new(36_000.0, vms, events);
-        for prepared in [false, true] {
-            let mut sim =
-                AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit)
-                    .with_snapshot_interval(3600.0);
-            let out = if prepared {
-                sim.replay(&t, &baseline_transform)
-            } else {
-                sim.replay_unprepared(&t, &baseline_transform)
-            };
-            assert_eq!(out.metrics.snapshots(), 10);
-            // The VM stays resident, so every snapshot samples it.
-            assert_eq!(out.metrics.baseline.samples(), 10);
-        }
+        let mut sim = AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit)
+            .with_snapshot_interval(3600.0);
+        let out = sim.prepare_and_replay(&t, &baseline_transform);
+        assert_eq!(out.metrics.snapshots(), 10);
+        // The VM stays resident, so every snapshot samples it.
+        assert_eq!(out.metrics.baseline.samples(), 10);
     }
 
     #[test]
@@ -1454,22 +1053,15 @@ mod tests {
         let t = Trace::new(7200.0, vms, events);
         let plan =
             FaultPlan::new(vec![full_fault(3600.0, FaultPool::Baseline, 0)], 3, 1, 0).unwrap();
-        for prepared in [false, true] {
-            let mut sim =
-                AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit)
-                    .with_snapshot_interval(3600.0);
-            let (out, summary) = if prepared {
-                sim.replay_faulted(&t, &baseline_transform, &plan)
-            } else {
-                sim.replay_faulted_unprepared(&t, &baseline_transform, &plan)
-            };
-            assert_eq!(summary.full_failures, 1);
-            // t=3600 interim + horizon sample.
-            assert_eq!(out.metrics.snapshots(), 2);
-            // Only the interim snapshot saw a non-empty server.
-            assert_eq!(out.metrics.baseline.samples(), 1);
-            assert!((out.metrics.baseline.mean_core_density() - 0.5).abs() < 1e-12);
-        }
+        let mut sim = AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit)
+            .with_snapshot_interval(3600.0);
+        let (out, summary) = sim.prepare_and_replay_faulted(&t, &baseline_transform, &plan);
+        assert_eq!(summary.full_failures, 1);
+        // t=3600 interim + horizon sample.
+        assert_eq!(out.metrics.snapshots(), 2);
+        // Only the interim snapshot saw a non-empty server.
+        assert_eq!(out.metrics.baseline.samples(), 1);
+        assert!((out.metrics.baseline.mean_core_density() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -1477,7 +1069,7 @@ mod tests {
         // Dwell magnitudes chosen so the per-app accumulation order is
         // observable in the low bits: settling 1e16 first absorbs the
         // two 1.0s ((1e16 + 1) + 1 == 1e16), settling it last does not
-        // ((1 + 1) + 1e16 == 1e16 + 2). Both engines must settle in
+        // ((1 + 1) + 1e16 == 1e16 + 2). The replay must settle in
         // ascending VM-id order, bit-for-bit.
         let d = 1e16;
         let vms: Vec<VmSpec> = (0..3).map(|i| vm(i, 1, 4.0, false)).collect();
@@ -1485,19 +1077,12 @@ mod tests {
         let t = Trace::new(d, vms, events);
         let expected = (((d - 0.0) + 1.0) + 1.0) / 3600.0;
         assert_ne!(expected.to_bits(), (((1.0 + 1.0) + d) / 3600.0).to_bits());
-        for prepared in [false, true] {
-            // Snapshot interval = horizon, or the drain loop would walk
-            // ~3e12 hourly snapshots across the 1e16 s trace.
-            let mut sim =
-                AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit)
-                    .with_snapshot_interval(d);
-            let out = if prepared {
-                sim.replay(&t, &baseline_transform)
-            } else {
-                sim.replay_unprepared(&t, &baseline_transform)
-            };
-            assert_eq!(out.usage.total_baseline_core_hours().to_bits(), expected.to_bits());
-        }
+        // Snapshot interval = horizon, or the drain loop would walk
+        // ~3e12 hourly snapshots across the 1e16 s trace.
+        let mut sim = AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit)
+            .with_snapshot_interval(d);
+        let out = sim.prepare_and_replay(&t, &baseline_transform);
+        assert_eq!(out.usage.total_baseline_core_hours().to_bits(), expected.to_bits());
     }
 
     #[test]
@@ -1521,7 +1106,7 @@ mod tests {
             }
         };
         let mut sim = AllocationSim::new(ClusterConfig::mixed(1, 1), PlacementPolicy::BestFit);
-        let out = sim.replay(&trace, &transform);
+        let out = sim.prepare_and_replay(&trace, &transform);
         assert!((out.usage.baseline_core_hours(0) - 16.0).abs() < 1e-9);
         assert!((out.usage.green_core_hours(0) - 10.0 * 10_000.0 / 3600.0).abs() < 1e-9);
     }
@@ -1543,8 +1128,9 @@ mod tests {
             ClusterConfig::mixed(0, 2),
         ] {
             reused.reset(config);
-            let out = reused.replay(&t, &transform);
-            let fresh = AllocationSim::new(config, PlacementPolicy::BestFit).replay(&t, &transform);
+            let out = reused.prepare_and_replay(&t, &transform);
+            let fresh = AllocationSim::new(config, PlacementPolicy::BestFit)
+                .prepare_and_replay(&t, &transform);
             assert_eq!(out, fresh);
         }
     }
@@ -1559,33 +1145,15 @@ mod tests {
         let transform = |v: &VmSpec| PlacementRequest::prefer_green(v, 1.25);
         let mut sim = AllocationSim::new(ClusterConfig::mixed(8, 2), PlacementPolicy::BestFit);
         assert_eq!(sim.high_water_marks(), HighWaterMarks::default());
-        let wide = sim.replay(&t, &transform);
+        let wide = sim.prepare_and_replay(&t, &transform);
         assert_eq!(sim.high_water_marks(), HighWaterMarks { baseline: 1, green: 2 });
         sim.reset(ClusterConfig::mixed(1, 2));
         assert_eq!(sim.high_water_marks(), HighWaterMarks::default());
         // At the mark the replay repeats the wider cluster's exactly.
-        let at_mark = sim.replay(&t, &transform);
+        let at_mark = sim.prepare_and_replay(&t, &transform);
         assert_eq!(at_mark.rejected, wide.rejected);
         assert_eq!(at_mark.usage, wide.usage);
         assert_eq!(sim.high_water_marks(), HighWaterMarks { baseline: 1, green: 2 });
-    }
-
-    #[test]
-    fn prepared_trace_is_reusable_across_resets() {
-        let vms: Vec<VmSpec> = (0..20).map(|i| vm(i, 8, 32.0, false)).collect();
-        let events: Vec<VmEvent> = (0..20).map(|i| arrive(i, f64::from(i as u32))).collect();
-        let t = trace(vms, events);
-        let transform = |v: &VmSpec| PlacementRequest::prefer_green(v, 1.25);
-        let prepared = PreparedTrace::new(&t, &transform);
-
-        let mut sim = AllocationSim::new(ClusterConfig::mixed(1, 1), PlacementPolicy::BestFit);
-        for config in [ClusterConfig::mixed(1, 1), ClusterConfig::mixed(3, 2)] {
-            sim.reset(config);
-            let out = sim.replay_prepared(&prepared);
-            let fresh = AllocationSim::new(config, PlacementPolicy::BestFit)
-                .replay_unprepared(&t, &transform);
-            assert_eq!(out, fresh);
-        }
     }
 
     fn full_fault(time_s: f64, pool: FaultPool, server: u32) -> FaultEvent {
@@ -1601,43 +1169,12 @@ mod tests {
         let transform = |v: &VmSpec| PlacementRequest::prefer_green(v, 1.25);
         let config = ClusterConfig::mixed(2, 2);
 
-        let plain = AllocationSim::new(config, PlacementPolicy::BestFit).replay(&t, &transform);
+        let plain =
+            AllocationSim::new(config, PlacementPolicy::BestFit).prepare_and_replay(&t, &transform);
         let (faulted, summary) = AllocationSim::new(config, PlacementPolicy::BestFit)
-            .replay_faulted(&t, &transform, &FaultPlan::empty());
+            .prepare_and_replay_faulted(&t, &transform, &FaultPlan::empty());
         assert_eq!(plain, faulted);
         assert_eq!(summary, FaultSummary::default());
-    }
-
-    #[test]
-    fn prepared_matches_unprepared_under_faults() {
-        let vms: Vec<VmSpec> = (0..40).map(|i| vm(i, 8, 32.0, false)).collect();
-        let mut events: Vec<VmEvent> =
-            (0..40).map(|i| arrive(i, f64::from(i as u32) * 10.0)).collect();
-        events.extend((0..15).map(|i| depart(i, 1000.0 + f64::from(i as u32))));
-        let t = trace(vms, events);
-        let transform = |v: &VmSpec| PlacementRequest::prefer_green(v, 1.25);
-        let plan = FaultPlan::new(
-            vec![
-                full_fault(100.0, FaultPool::Green, 0),
-                FaultEvent {
-                    time_s: 200.0,
-                    pool: FaultPool::Baseline,
-                    server: 1,
-                    kind: FaultKind::PartialDegrade { cores_lost: 40, mem_lost_gb: 384.0 },
-                },
-            ],
-            3,
-            3,
-            2,
-        )
-        .unwrap();
-        let config = ClusterConfig::mixed(3, 2);
-        let (a_out, a_sum) = AllocationSim::new(config, PlacementPolicy::BestFit)
-            .replay_faulted(&t, &transform, &plan);
-        let (b_out, b_sum) = AllocationSim::new(config, PlacementPolicy::BestFit)
-            .replay_faulted_unprepared(&t, &transform, &plan);
-        assert_eq!(a_out, b_out);
-        assert_eq!(a_sum, b_sum);
     }
 
     #[test]
@@ -1649,7 +1186,7 @@ mod tests {
         let t = trace(vms, events);
         let plan = FaultPlan::new(vec![full_fault(10.0, FaultPool::Baseline, 0)], 3, 2, 0).unwrap();
         let mut sim = AllocationSim::new(ClusterConfig::baseline_only(2), PlacementPolicy::BestFit);
-        let (out, summary) = sim.replay_faulted(&t, &baseline_transform, &plan);
+        let (out, summary) = sim.prepare_and_replay_faulted(&t, &baseline_transform, &plan);
         assert_eq!(out.rejected, 0);
         assert_eq!(summary.full_failures, 1);
         assert!(summary.displaced > 0);
@@ -1668,7 +1205,7 @@ mod tests {
         let plan =
             FaultPlan::new(vec![full_fault(100.0, FaultPool::Baseline, 0)], 1000, 1, 0).unwrap();
         let mut sim = AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit);
-        let (out, summary) = sim.replay_faulted(&t, &baseline_transform, &plan);
+        let (out, summary) = sim.prepare_and_replay_faulted(&t, &baseline_transform, &plan);
         assert_eq!(summary.displaced, 10);
         assert_eq!(summary.evacuated, 0);
         assert_eq!(summary.evacuation_failures, 10);
@@ -1698,7 +1235,7 @@ mod tests {
         )
         .unwrap();
         let mut sim = AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit);
-        let (_, summary) = sim.replay_faulted(&t, &baseline_transform, &plan);
+        let (_, summary) = sim.prepare_and_replay_faulted(&t, &baseline_transform, &plan);
         assert_eq!(summary.partial_degrades, 1);
         assert_eq!(summary.displaced, 1);
         assert_eq!(summary.evacuation_failures, 1);
@@ -1729,7 +1266,7 @@ mod tests {
         let config = ClusterConfig::mixed(3, 2);
         let run = || {
             AllocationSim::new(config, PlacementPolicy::BestFit)
-                .replay_faulted(&t, &transform, &plan)
+                .prepare_and_replay_faulted(&t, &transform, &plan)
         };
         let (a_out, a_sum) = run();
         let (b_out, b_sum) = run();
@@ -1746,7 +1283,7 @@ mod tests {
         // cluster has only one server: the strike lands on nothing.
         let plan = FaultPlan::new(vec![full_fault(5.0, FaultPool::Baseline, 7)], 3, 8, 0).unwrap();
         let mut sim = AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit);
-        let (out, summary) = sim.replay_faulted(&t, &baseline_transform, &plan);
+        let (out, summary) = sim.prepare_and_replay_faulted(&t, &baseline_transform, &plan);
         assert_eq!(summary, FaultSummary::default());
         assert_eq!(out.rejected, 0);
     }
@@ -1767,7 +1304,7 @@ mod tests {
         )
         .unwrap();
         let mut sim = AllocationSim::new(ClusterConfig::baseline_only(2), PlacementPolicy::BestFit);
-        let (_, summary) = sim.replay_faulted(&t, &baseline_transform, &plan);
+        let (_, summary) = sim.prepare_and_replay_faulted(&t, &baseline_transform, &plan);
         assert_eq!(summary.full_failures, 1);
     }
 
@@ -1782,7 +1319,7 @@ mod tests {
         let plan =
             FaultPlan::new(vec![full_fault(3600.0, FaultPool::Baseline, 0)], 3, 2, 0).unwrap();
         let mut sim = AllocationSim::new(ClusterConfig::baseline_only(2), PlacementPolicy::BestFit);
-        let (out, summary) = sim.replay_faulted(&t, &baseline_transform, &plan);
+        let (out, summary) = sim.prepare_and_replay_faulted(&t, &baseline_transform, &plan);
         assert_eq!(summary.evacuated, 1);
         assert!((out.usage.baseline_core_hours(0) - 16.0).abs() < 1e-9);
     }
@@ -1791,17 +1328,17 @@ mod tests {
     fn displaced_vm_unknown_to_the_trace_counts_as_evacuation_failure() {
         // Replay a first trace without resetting, leaving VM 100
         // resident, then replay a *different* trace whose fault strikes
-        // its server. The displaced id resolves through neither the new
-        // prepared trace nor the new raw trace, so it can never be
-        // re-placed — it must still be counted as an evacuation
-        // failure. (It used to be `continue`d out of the retry pass and
-        // vanish from the accounting entirely.)
+        // its server. The displaced id does not resolve through the new
+        // prepared trace, so it can never be re-placed — it must still
+        // be counted as an evacuation failure. (It used to be
+        // `continue`d out of the retry pass and vanish from the
+        // accounting entirely.)
         let stale = trace(vec![vm(100, 8, 32.0, false)], vec![arrive(100, 0.0)]);
         let fresh = trace(vec![vm(0, 4, 16.0, false)], vec![arrive(0, 5.0)]);
         let plan = FaultPlan::new(vec![full_fault(1.0, FaultPool::Baseline, 0)], 3, 1, 0).unwrap();
 
         let mut sim = AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit);
-        sim.replay(&stale, &baseline_transform);
+        sim.prepare_and_replay(&stale, &baseline_transform);
         let prepared = PreparedTrace::new(&fresh, &baseline_transform);
         let (_, summary) = sim.replay_prepared_faulted(&prepared, &plan);
         assert_eq!(summary.displaced, 1);
@@ -1810,12 +1347,6 @@ mod tests {
             summary.evacuation_failures, 1,
             "a displaced id missing from the prepared trace must still be accounted"
         );
-
-        // The unprepared mirror has the same accounting duty.
-        let mut sim = AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit);
-        sim.replay(&stale, &baseline_transform);
-        let (_, summary) = sim.replay_faulted_unprepared(&fresh, &baseline_transform, &plan);
-        assert_eq!((summary.displaced, summary.evacuation_failures), (1, 1));
     }
 
     fn revive(time_s: f64, pool: FaultPool, server: u32) -> FaultEvent {
@@ -1837,36 +1368,25 @@ mod tests {
             0,
         )
         .unwrap();
-        let run = |unprepared: bool| {
-            let mut sim =
-                AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit);
-            if unprepared {
-                sim.replay_faulted_unprepared(&t, &baseline_transform, &plan)
-            } else {
-                sim.replay_faulted(&t, &baseline_transform, &plan)
-            }
-        };
-        let (p_out, p_sum) = run(false);
-        let (u_out, u_sum) = run(true);
-        assert_eq!(p_out, u_out);
-        assert_eq!(p_sum, u_sum);
-
-        assert_eq!(p_sum.full_failures, 1);
-        assert_eq!(p_sum.revivals, 1);
-        assert_eq!(p_sum.displaced, 10);
-        assert_eq!(p_sum.evacuated, 10);
-        assert_eq!(p_sum.evacuation_failures, 0);
-        assert!(p_sum.all_evacuated());
+        let (out, summary) =
+            AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit)
+                .prepare_and_replay_faulted(&t, &baseline_transform, &plan);
+        assert_eq!(summary.full_failures, 1);
+        assert_eq!(summary.revivals, 1);
+        assert_eq!(summary.displaced, 10);
+        assert_eq!(summary.evacuated, 10);
+        assert_eq!(summary.evacuation_failures, 0);
+        assert!(summary.all_evacuated());
         // Each VM waited exactly 100 s in the queue.
-        assert!((p_sum.availability.vm_seconds_lost - 10.0 * 100.0).abs() < 1e-9);
-        assert!((p_sum.availability.server_down_seconds - 100.0).abs() < 1e-9);
-        assert_eq!(p_sum.availability.max_simultaneous_displaced, 10);
-        assert_eq!(p_sum.availability.blast_radius_servers, 1);
-        assert!(p_sum.availability.vm_seconds_served > 0.0);
-        assert!(p_sum.availability.availability() < 1.0);
+        assert!((summary.availability.vm_seconds_lost - 10.0 * 100.0).abs() < 1e-9);
+        assert!((summary.availability.server_down_seconds - 100.0).abs() < 1e-9);
+        assert_eq!(summary.availability.max_simultaneous_displaced, 10);
+        assert_eq!(summary.availability.blast_radius_servers, 1);
+        assert!(summary.availability.vm_seconds_served > 0.0);
+        assert!(summary.availability.availability() < 1.0);
         // Usage keeps flowing after the re-placement: ten 8-core VMs
         // resident to the 1 000 000 s horizon dominate the total.
-        assert!(p_out.usage.baseline_core_hours(0) > 10.0 * 8.0 * 900_000.0 / 3600.0);
+        assert!(out.usage.baseline_core_hours(0) > 10.0 * 8.0 * 900_000.0 / 3600.0);
     }
 
     #[test]
@@ -1876,10 +1396,10 @@ mod tests {
         let t = trace(vms, events);
         let plan = FaultPlan::new(vec![revive(50.0, FaultPool::Baseline, 0)], 3, 2, 0).unwrap();
         let plain = AllocationSim::new(ClusterConfig::baseline_only(2), PlacementPolicy::BestFit)
-            .replay(&t, &baseline_transform);
+            .prepare_and_replay(&t, &baseline_transform);
         let (out, summary) =
             AllocationSim::new(ClusterConfig::baseline_only(2), PlacementPolicy::BestFit)
-                .replay_faulted(&t, &baseline_transform, &plan);
+                .prepare_and_replay_faulted(&t, &baseline_transform, &plan);
         assert_eq!(summary, FaultSummary::default());
         assert_eq!(out, plain);
     }
@@ -1888,24 +1408,17 @@ mod tests {
     fn pending_vm_departure_is_an_evacuation_failure() {
         // The VM is displaced into a saturated fleet at t=10 and
         // departs at t=50 still homeless: 40 s of downtime, one
-        // failure, in both engines.
+        // failure.
         let vms = vec![vm(0, 8, 32.0, false)];
         let events = vec![arrive(0, 0.0), depart(0, 50.0)];
         let t = trace(vms, events);
         let plan = FaultPlan::new(vec![full_fault(10.0, FaultPool::Baseline, 0)], 3, 1, 0).unwrap();
-        for unprepared in [false, true] {
-            let mut sim =
-                AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit);
-            let (_, summary) = if unprepared {
-                sim.replay_faulted_unprepared(&t, &baseline_transform, &plan)
-            } else {
-                sim.replay_faulted(&t, &baseline_transform, &plan)
-            };
-            assert_eq!(summary.displaced, 1);
-            assert_eq!(summary.evacuated, 0);
-            assert_eq!(summary.evacuation_failures, 1);
-            assert!((summary.availability.vm_seconds_lost - 40.0).abs() < 1e-9);
-        }
+        let mut sim = AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit);
+        let (_, summary) = sim.prepare_and_replay_faulted(&t, &baseline_transform, &plan);
+        assert_eq!(summary.displaced, 1);
+        assert_eq!(summary.evacuated, 0);
+        assert_eq!(summary.evacuation_failures, 1);
+        assert!((summary.availability.vm_seconds_lost - 40.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1913,7 +1426,7 @@ mod tests {
         let vms = vec![vm(0, 200, 32.0, false)]; // cannot fit anywhere
         let events = vec![arrive(0, 1.0), depart(0, 2.0)];
         let mut sim = AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit);
-        let out = sim.replay(&trace(vms, events), &baseline_transform);
+        let out = sim.prepare_and_replay(&trace(vms, events), &baseline_transform);
         assert_eq!(out.rejected, 1);
         assert_eq!(out.placed_baseline, 0);
     }
@@ -1948,26 +1461,19 @@ mod tests {
             0,
         )
         .unwrap();
-        for unprepared in [false, true] {
-            let mut sim =
-                AllocationSim::new(ClusterConfig::baseline_only(2), PlacementPolicy::BestFit);
-            let (out, summary) = if unprepared {
-                sim.replay_faulted_unprepared(&t, &baseline_transform, &plan)
-            } else {
-                sim.replay_faulted(&t, &baseline_transform, &plan)
-            };
-            assert_eq!(summary.displaced, 4);
-            assert_eq!(summary.evacuated, 2);
-            assert_eq!(summary.evacuation_failures, 2);
-            // Ids 1 (app 2) and 2 (app 3) won the drain and served to
-            // the horizon; ids 9 (app 0) and 4 (app 1) only banked
-            // their pre-fault dwell.
-            assert!(out.usage.baseline_core_hours(2) > 1_000.0);
-            assert!(out.usage.baseline_core_hours(3) > 1_000.0);
-            assert!(out.usage.baseline_core_hours(0) < 1.0);
-            assert!(out.usage.baseline_core_hours(1) < 1.0);
-            assert!(sim.storage_consistent());
-        }
+        let mut sim = AllocationSim::new(ClusterConfig::baseline_only(2), PlacementPolicy::BestFit);
+        let (out, summary) = sim.prepare_and_replay_faulted(&t, &baseline_transform, &plan);
+        assert_eq!(summary.displaced, 4);
+        assert_eq!(summary.evacuated, 2);
+        assert_eq!(summary.evacuation_failures, 2);
+        // Ids 1 (app 2) and 2 (app 3) won the drain and served to the
+        // horizon; ids 9 (app 0) and 4 (app 1) only banked their
+        // pre-fault dwell.
+        assert!(out.usage.baseline_core_hours(2) > 1_000.0);
+        assert!(out.usage.baseline_core_hours(3) > 1_000.0);
+        assert!(out.usage.baseline_core_hours(0) < 1.0);
+        assert!(out.usage.baseline_core_hours(1) < 1.0);
+        assert!(sim.storage_consistent());
     }
 
     #[test]
@@ -1995,11 +1501,11 @@ mod tests {
         .unwrap();
         let config = ClusterConfig::baseline_only(3);
         let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
-        let (first, _) = sim.replay_faulted(&t, &baseline_transform, &plan);
+        let (first, _) = sim.prepare_and_replay_faulted(&t, &baseline_transform, &plan);
         assert!(sim.storage_consistent());
         sim.reset(config);
         assert!(sim.storage_consistent());
-        let (second, _) = sim.replay_faulted(&t, &baseline_transform, &plan);
+        let (second, _) = sim.prepare_and_replay_faulted(&t, &baseline_transform, &plan);
         assert!(sim.storage_consistent());
         assert_eq!(first, second);
     }

@@ -1,7 +1,8 @@
 //! Property tests for the allocation simulator.
 
 use gsf_vmalloc::{
-    AllocationSim, ClusterConfig, PlacementPolicy, PlacementRequest, ServerShape, ServerState,
+    AllocationSim, ClusterConfig, FaultPlan, PlacementPolicy, PlacementRequest, PreparedTrace,
+    ServerShape, ServerState, SimOutcome, VmTransform,
 };
 use gsf_workloads::{ServerGeneration, Trace, VmEvent, VmEventKind, VmSpec};
 use proptest::prelude::*;
@@ -37,6 +38,17 @@ fn random_trace(n_vms: usize, seed: u64, full_node_pct: f64) -> Trace {
     Trace::new(2100.0, vms, events)
 }
 
+/// A fault-free replay of `trace` on a fresh `config` cluster.
+fn replay(
+    config: ClusterConfig,
+    policy: PlacementPolicy,
+    trace: &Trace,
+    transform: &VmTransform<'_>,
+) -> SimOutcome {
+    let prepared = PreparedTrace::new(trace, transform);
+    AllocationSim::new(config, policy).replay_prepared_faulted(&prepared, &FaultPlan::empty()).0
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -58,8 +70,7 @@ proptest! {
                     PlacementRequest::prefer_green(vm, 1.25)
                 }
             };
-            let out = AllocationSim::new(ClusterConfig::mixed(baseline, green), policy)
-                .replay(&trace, &transform);
+            let out = replay(ClusterConfig::mixed(baseline, green), policy, &trace, &transform);
             prop_assert_eq!(
                 out.placed_baseline + out.placed_green + out.rejected,
                 n_vms,
@@ -79,8 +90,8 @@ proptest! {
     ) {
         let trace = random_trace(n_vms, seed, 0.0);
         let reject = |n: u32| {
-            AllocationSim::new(ClusterConfig::baseline_only(n), PlacementPolicy::BestFit)
-                .replay(&trace, &|vm: &VmSpec| PlacementRequest::baseline_only(vm))
+            let config = ClusterConfig::baseline_only(n);
+            replay(config, PlacementPolicy::BestFit, &trace, &PlacementRequest::baseline_only)
                 .rejected
         };
         prop_assert!(reject(baseline + 2) <= reject(baseline));
@@ -92,14 +103,14 @@ proptest! {
         seed in 0u64..300,
     ) {
         let trace = random_trace(n_vms, seed, 0.05);
-        let out = AllocationSim::new(ClusterConfig::mixed(4, 2), PlacementPolicy::BestFit)
-            .replay(&trace, &|vm: &VmSpec| {
-                if vm.full_node {
-                    PlacementRequest::baseline_only(vm)
-                } else {
-                    PlacementRequest::prefer_green(vm, 1.0)
-                }
-            });
+        let transform = |vm: &VmSpec| {
+            if vm.full_node {
+                PlacementRequest::baseline_only(vm)
+            } else {
+                PlacementRequest::prefer_green(vm, 1.0)
+            }
+        };
+        let out = replay(ClusterConfig::mixed(4, 2), PlacementPolicy::BestFit, &trace, &transform);
         for pool in [&out.metrics.baseline, &out.metrics.green] {
             for v in [
                 pool.mean_core_density(),

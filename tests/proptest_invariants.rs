@@ -9,7 +9,8 @@ use greensku::perf::slowdown::slowdown_from_sensitivity;
 use greensku::perf::{MemoryPlacement, SkuPerfProfile};
 use greensku::stats::cdf::EmpiricalCdf;
 use greensku::vmalloc::{
-    AllocationSim, ClusterConfig, PlacementPolicy, PlacementRequest, ServerState, VmArena,
+    AllocationSim, ClusterConfig, FaultPlan, PlacementPolicy, PlacementRequest, PreparedTrace,
+    ServerState, VmArena,
 };
 use greensku::workloads::{
     HardwareSensitivity, ServerGeneration, Trace, VmEvent, VmEventKind, VmSpec,
@@ -153,7 +154,8 @@ proptest! {
             ClusterConfig::baseline_only(cluster),
             PlacementPolicy::BestFit,
         );
-        let out = sim.replay(&trace, &|vm: &VmSpec| PlacementRequest::baseline_only(vm));
+        let prepared = PreparedTrace::new(&trace, &PlacementRequest::baseline_only);
+        let (out, _) = sim.replay_prepared_faulted(&prepared, &FaultPlan::empty());
         // Every arrival is either placed or rejected, exactly once.
         prop_assert_eq!(out.placed_baseline + out.placed_green + out.rejected, n_vms);
         prop_assert_eq!(out.placed_green, 0);
