@@ -59,5 +59,7 @@ cargo test -q --release -p gsf-core --test streamed_equivalence -- --include-ign
 # scale against the library's public sizing and replay calls).
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 # Docs must build clean: public-API rustdoc (broken intra-doc links,
-# malformed HTML) is a release gate, not a warning.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+# links from public docs to private items, malformed HTML) is a release
+# gate, not a warning. --workspace: a bare `cargo doc` documents only
+# the root package, so the crates' own docs went unchecked.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

@@ -209,6 +209,25 @@ fn count_at_least(
     Ok(n)
 }
 
+/// The most shards `--shards` may ask for. Every shard gets its own
+/// simulator and partition bounds, so an unchecked count allocates
+/// without limit.
+const MAX_SHARDS: usize = 1024;
+
+/// Reads `--shards`, at most [`MAX_SHARDS`]. 0 and 1 both select the
+/// unsharded engine and read as 1.
+fn shard_count(args: &Args) -> Result<usize, CliError> {
+    let shards: usize = args.get_num("shards", 1usize)?;
+    if shards > MAX_SHARDS {
+        return Err(CliError::OutOfRange {
+            flag: "shards",
+            value: shards.to_string(),
+            expected: format!("at most {MAX_SHARDS}"),
+        });
+    }
+    Ok(shards.max(1))
+}
+
 fn trace_from(args: &Args) -> Result<Trace, CliError> {
     let (hours, arrivals) = synthesis_window(args)?;
     let seed = args.get_num("seed", 42u64)?;
@@ -832,9 +851,8 @@ fn faults_cmd(args: &Args) -> Result<String, CliError> {
 /// two paths are bit-identical (see the `streamed_equivalence` suite).
 fn fleet_file_cmd(args: &Args, path: &str) -> Result<String, CliError> {
     let design = design_by_name(args.get_or("design", "full"))?;
-    let shards: usize = args.get_num("shards", 1usize)?;
-    let pipeline =
-        GsfPipeline::new(PipelineConfig { shards: shards.max(1), ..PipelineConfig::default() });
+    let shards = shard_count(args)?;
+    let pipeline = GsfPipeline::new(PipelineConfig { shards, ..PipelineConfig::default() });
     let (o, vms, mode) = if args.get_bool("stream") {
         let file = std::fs::File::open(path)?;
         let mut reader = TraceChunkReader::new(std::io::BufReader::new(file))?;
@@ -868,7 +886,7 @@ fn fleet_cmd(args: &Args) -> Result<String, CliError> {
     let design = design_by_name(args.get_or("design", "full"))?;
     let n = count_at_least(args, "traces", 4, 1)?;
     let workers: usize = args.get_num("workers", gsf_cluster::parallel::default_workers())?;
-    let shards: usize = args.get_num("shards", 1usize)?;
+    let shards = shard_count(args)?;
     let (hours, arrivals) = synthesis_window(args)?;
     let seed = args.get_num("seed", 42u64)?;
     let gen = TraceGenerator::new(TraceParams {
@@ -878,16 +896,15 @@ fn fleet_cmd(args: &Args) -> Result<String, CliError> {
     });
     let factory = SeedFactory::new(seed);
     let traces: Vec<Trace> = (0..n as u64).map(|i| gen.generate(&factory, i)).collect();
-    let pipeline =
-        GsfPipeline::new(PipelineConfig { shards: shards.max(1), ..PipelineConfig::default() });
+    let pipeline = GsfPipeline::new(PipelineConfig { shards, ..PipelineConfig::default() });
     let o = pipeline.evaluate_fleet(&design, &traces, workers.max(1))?;
     Ok(format!(
         "{} across {} traces ({} workers, {} shard{}):\n  cluster savings: mean {}  min {}  max {}\n  DC savings:      mean {}\n",
         design.name(),
         traces.len(),
         workers.max(1),
-        shards.max(1),
-        if shards.max(1) == 1 { "" } else { "s" },
+        shards,
+        if shards == 1 { "" } else { "s" },
         fmt_pct(o.mean_cluster_savings, 1),
         fmt_pct(o.min_cluster_savings, 1),
         fmt_pct(o.max_cluster_savings, 1),
@@ -1269,5 +1286,10 @@ mod tests {
     #[test]
     fn fleet_rejects_zero_traces() {
         assert_out_of_range(&["fleet", "--design", "full", "--traces", "0"], "traces");
+    }
+
+    #[test]
+    fn fleet_rejects_more_shards_than_the_cap() {
+        assert_out_of_range(&["fleet", "--design", "full", "--shards", "1025"], "shards");
     }
 }

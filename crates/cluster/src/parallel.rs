@@ -13,7 +13,8 @@ pub fn default_workers() -> usize {
 }
 
 /// Applies `f` to every trace-like item on a pool of worker threads and
-/// returns results in input order.
+/// returns results in input order: [`map_parallel_mut`] over the items'
+/// references.
 ///
 /// `workers` is clamped to `[1, items.len()]`; pass
 /// `std::thread::available_parallelism()` for a full fan-out.
@@ -28,45 +29,16 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, items.len());
-    if workers == 1 {
-        // Run inline: a single worker gains nothing from a scoped
-        // thread, and skipping the spawn keeps serial sweeps (and
-        // 1-CPU machines) free of threading overhead.
-        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
-    }
-    let next = Mutex::new(0usize);
-    let results: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let i = {
-                    let mut guard = next.lock();
-                    let i = *guard;
-                    if i >= items.len() {
-                        break;
-                    }
-                    *guard += 1;
-                    i
-                };
-                let r = f(i, &items[i]);
-                *results[i].lock() = Some(r);
-            });
-        }
-    })
-    .expect("worker threads do not panic");
-    results.into_iter().map(|slot| slot.into_inner().expect("every index was processed")).collect()
+    let mut refs: Vec<&T> = items.iter().collect();
+    map_parallel_mut(&mut refs, workers, |i, item| f(i, *item))
 }
 
 /// Applies `f` to every item with **exclusive** access, on a pool of
 /// worker threads, returning results in input order. The sharded replay
-/// driver runs `&mut` shard tasks through this; like [`map_parallel`],
-/// a single worker runs inline and work is claimed from a shared index,
-/// so the result vector is identical for any worker count whenever `f`
-/// is deterministic per item.
+/// driver runs `&mut` shard tasks through this. A single worker runs
+/// inline and work is claimed from a shared index, so the result vector
+/// is identical for any worker count whenever `f` is deterministic per
+/// item.
 ///
 /// # Panics
 ///
@@ -83,6 +55,9 @@ where
     }
     let workers = workers.clamp(1, items.len());
     if workers == 1 {
+        // Run inline: a single worker gains nothing from a scoped
+        // thread, and skipping the spawn keeps serial sweeps (and
+        // 1-CPU machines) free of threading overhead.
         return items.iter_mut().enumerate().map(|(i, item)| f(i, item)).collect();
     }
     let n = items.len();

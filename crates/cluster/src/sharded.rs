@@ -28,15 +28,7 @@ pub fn replay_sharded(
     workers: usize,
 ) -> (SimOutcome, FaultSummary) {
     let mut tasks = sim.shard_tasks(prepared, faults);
-    let parts = map_parallel_mut(&mut tasks, workers, |_, task| task.run(prepared));
-    let (out, mut summary) = merge_outcomes(parts);
-    // The blast radius comes from the *global* plan, exactly as the
-    // serial reference assigns it post-merge — per-shard replays only
-    // see their local slice of a correlated domain event.
-    if summary.faults_applied() {
-        summary.availability.blast_radius_servers = faults.max_correlated_strikes();
-    }
-    (out, summary)
+    merge_outcomes(map_parallel_mut(&mut tasks, workers, |_, task| task.run(prepared)), faults)
 }
 
 /// Feasibility probe on the sharded engine, replayed on `workers`

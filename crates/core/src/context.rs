@@ -17,7 +17,7 @@
 //! intensity only through the router's adoption decisions, so a Fig.
 //! 11/12 sweep whose intensities route identically runs the expensive
 //! searches once per distinct decision table instead of once per point
-//! (see [`EvalContext::sizing`]).
+//! (see [`EvalContext::sizing_hashed`]).
 //!
 //! Keys are *structural*: every `f64` field is keyed by its bit pattern
 //! (`f64::to_bits`), so a cache hit is only possible when the inputs are
@@ -28,7 +28,7 @@ use crate::components::{CarbonComponent, DefaultCarbon};
 use gsf_carbon::{Assessment, CarbonError, ModelParams, ServerSpec};
 use gsf_cluster::sizing::ClusterPlan;
 use gsf_vmalloc::{FaultSummary, PlacementPolicy, PreparedTrace, ServerShape, SimOutcome};
-use gsf_workloads::{ServerGeneration, Trace};
+use gsf_workloads::ServerGeneration;
 use parking_lot::Mutex;
 // gsf-lint: allow-file(D1) -- the memo caches below are pure point lookups
 // keyed by bit-exact hashes; they are never iterated, so their order cannot
@@ -114,14 +114,15 @@ impl KeyWriter {
 }
 
 /// Structural key for the memoized sizing searches: the trace's 128-bit
-/// [`Trace::content_hash`] plus everything the sizing + replay stage
-/// depends on — the router's per-(application, generation) decision
-/// table, both server shapes, the placement policy, the growth-buffer
-/// fraction, the fault-model signature (so fault-injected and
-/// fault-free evaluations never share an entry, keeping cached and
-/// uncached paths bit-identical in both modes), and the shard
-/// signature `(shards, SHARD_ROUTING_VERSION)` — sharded and unsharded
-/// sizings have different semantics and must never share an entry.
+/// [`Trace::content_hash`](gsf_workloads::Trace::content_hash)
+/// plus everything the sizing + replay stage depends on — the router's
+/// per-(application, generation) decision table, both server shapes,
+/// the placement policy, the growth-buffer fraction, the fault-model
+/// signature (so fault-injected and fault-free evaluations never share
+/// an entry, keeping cached and uncached paths bit-identical in both
+/// modes), and the shard signature `(shards, SHARD_ROUTING_VERSION)` —
+/// sharded and unsharded sizings have different semantics and must
+/// never share an entry.
 ///
 /// The key used to embed the *entire trace byte stream*
 /// (`w.bytes(&trace.encode())`), making every cache probe O(trace) to
@@ -179,14 +180,14 @@ impl SizingKey {
 }
 
 /// Structural key for the prepared-trace cache: the trace's 128-bit
-/// [`Trace::content_hash`] plus the routing decision table the plan was
-/// resolved against. A [`PreparedTrace`] depends on nothing else — not
-/// the cluster shapes, policy, buffer, fault model, or shard count
-/// (shard routing consumes a prepared trace, it does not change one) —
-/// so one plan serves every sizing probe, buffer level, shard count,
-/// and fault configuration of a routing-identical sweep. Like
-/// [`SizingKey`], the content hash replaces the former O(trace)
-/// embedded byte stream.
+/// [`Trace::content_hash`](gsf_workloads::Trace::content_hash)
+/// plus the routing decision table the plan was resolved against. A
+/// [`PreparedTrace`] depends on nothing else — not the cluster shapes,
+/// policy, buffer, fault model, or shard count (shard routing consumes
+/// a prepared trace, it does not change one) — so one plan serves every
+/// sizing probe, buffer level, shard count, and fault configuration of
+/// a routing-identical sweep. Like [`SizingKey`], the content hash
+/// replaces the former O(trace) embedded byte stream.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PreparedKey(Vec<u64>);
 
@@ -207,7 +208,7 @@ impl PreparedKey {
 /// right-sizing binary searches plus the final replay on the buffered
 /// mixed cluster. These dominate `evaluate_at` wall-clock and are
 /// independent of the carbon intensity given a fixed routing decision
-/// table, so [`EvalContext`] memoizes them under a [`SizingKey`].
+/// table, so [`EvalContext`] memoizes them under a `SizingKey`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SizingOutcome {
     /// Right-sized all-baseline cluster (no buffer).
@@ -361,49 +362,20 @@ impl EvalContext {
 
     /// Runs (or replays) the sizing + replay stage for one pipeline
     /// evaluation, memoized by the exact `(trace, decision table,
-    /// shapes, policy, buffer, faults, shards)` inputs. `shards <= 1`
-    /// keys identically to `1` — both select the unsharded semantics.
+    /// shapes, policy, buffer, faults, shards)` inputs, the trace keyed
+    /// by its [`Trace::content_hash`](gsf_workloads::Trace::content_hash).
+    /// `shards <= 1` keys identically to `1` — both select the unsharded
+    /// semantics.
+    ///
+    /// Callers hash the trace once per evaluation: in-memory
+    /// evaluations hash the materialized trace, streamed ones take the
+    /// verified digest from the chunked decoder without ever
+    /// materializing a `Trace`. The incremental digest is pinned equal
+    /// to the in-memory one, so both share cache entries.
     ///
     /// `compute` must be a pure function of those inputs — it is run on
     /// a miss and its result is shared with every later bit-identical
     /// lookup, so cached and uncached contexts stay bitwise-identical.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `compute` failures (never cached).
-    #[allow(clippy::too_many_arguments)]
-    pub fn sizing<E>(
-        &self,
-        trace: &Trace,
-        decision_signature: &[u64],
-        baseline_shape: ServerShape,
-        green_shape: ServerShape,
-        policy: PlacementPolicy,
-        buffer_fraction: f64,
-        fault_signature: &[u64],
-        shards: usize,
-        compute: impl FnOnce() -> Result<SizingOutcome, E>,
-    ) -> Result<Arc<SizingOutcome>, E> {
-        self.sizing_hashed(
-            trace.content_hash(),
-            decision_signature,
-            baseline_shape,
-            green_shape,
-            policy,
-            buffer_fraction,
-            fault_signature,
-            shards,
-            compute,
-        )
-    }
-
-    /// [`Self::sizing`] keyed by a precomputed
-    /// [`Trace::content_hash`] — the entry point for streamed
-    /// evaluations, which obtain the verified hash from the chunked
-    /// decoder without ever materializing a `Trace`. A streamed and an
-    /// in-memory evaluation of the same trace content share cache
-    /// entries (the incremental digest is pinned equal to the
-    /// in-memory one).
     ///
     /// # Errors
     ///
@@ -448,28 +420,17 @@ impl EvalContext {
     }
 
     /// Builds (or replays) the prepared trace plan for one
-    /// (trace, routing decision) pair, memoized by the exact trace
-    /// encoding and decision table. All sweep points whose intensities
-    /// route identically share one plan — the same key granularity as
-    /// [`Self::sizing`], minus everything a [`PreparedTrace`] does not
-    /// depend on.
+    /// (trace, routing decision) pair, memoized by the trace's
+    /// [`Trace::content_hash`](gsf_workloads::Trace::content_hash) and
+    /// the decision table. All sweep points whose intensities route
+    /// identically share one plan — the same key granularity as
+    /// [`Self::sizing_hashed`], minus everything a [`PreparedTrace`]
+    /// does not depend on. Streamed and in-memory evaluations share
+    /// entries, as they do there.
     ///
     /// `build` must be a pure function of those inputs (the adoption
     /// transform is a pure function of the `VmSpec` given a decision
     /// table), so cached and uncached contexts stay bitwise-identical.
-    pub fn prepared(
-        &self,
-        trace: &Trace,
-        decision_signature: &[u64],
-        build: impl FnOnce() -> PreparedTrace,
-    ) -> Arc<PreparedTrace> {
-        self.prepared_by_hash(trace.content_hash(), decision_signature, build)
-    }
-
-    /// [`Self::prepared`] keyed by a precomputed
-    /// [`Trace::content_hash`] — used by the streamed pipeline, which
-    /// knows the verified digest from the chunk footer before any plan
-    /// is built. Shares entries with the in-memory path.
     pub fn prepared_by_hash(
         &self,
         trace_hash: (u64, u64),
@@ -515,10 +476,11 @@ mod tests {
     use super::*;
     use gsf_carbon::datasets::open_source;
     use gsf_carbon::units::CarbonIntensity;
+    use gsf_workloads::Trace;
 
     /// A fault-free replay of `trace` on four Gen3 servers, as the
     /// payload of a hand-built sizing outcome.
-    fn baseline_replay(trace: &gsf_workloads::Trace) -> gsf_vmalloc::SimOutcome {
+    fn baseline_replay(trace: &Trace) -> gsf_vmalloc::SimOutcome {
         let prepared = PreparedTrace::new(trace, &gsf_vmalloc::PlacementRequest::baseline_only);
         gsf_vmalloc::AllocationSim::new(
             gsf_vmalloc::ClusterConfig::baseline_only(4),
@@ -640,35 +602,27 @@ mod tests {
         let sig = [1u64, 2, 3];
         let none = gsf_maintenance::FaultModel::none().signature();
         let shape = ServerShape { cores: 80, mem_gb: 768.0 };
+        let hash = trace.content_hash();
+        let lookup = |ctx: &EvalContext, sig: &[u64], policy, buffer, faults: &[u64]| {
+            ctx.sizing_hashed(hash, sig, shape, shape, policy, buffer, faults, 1, outcome).unwrap()
+        };
         let ctx = EvalContext::new();
-        let a = ctx
-            .sizing(&trace, &sig, shape, shape, PlacementPolicy::BestFit, 0.1, &none, 1, outcome)
-            .unwrap();
-        let b = ctx
-            .sizing(&trace, &sig, shape, shape, PlacementPolicy::BestFit, 0.1, &none, 1, outcome)
-            .unwrap();
+        let a = lookup(&ctx, &sig, PlacementPolicy::BestFit, 0.1, &none);
+        let b = lookup(&ctx, &sig, PlacementPolicy::BestFit, 0.1, &none);
         assert!(Arc::ptr_eq(&a, &b), "second lookup must be a hit");
         // Any changed input misses: decision table, policy, buffer,
         // fault model.
-        ctx.sizing(&trace, &[9u64], shape, shape, PlacementPolicy::BestFit, 0.1, &none, 1, outcome)
-            .unwrap();
-        ctx.sizing(&trace, &sig, shape, shape, PlacementPolicy::FirstFit, 0.1, &none, 1, outcome)
-            .unwrap();
-        ctx.sizing(&trace, &sig, shape, shape, PlacementPolicy::BestFit, 0.2, &none, 1, outcome)
-            .unwrap();
+        lookup(&ctx, &[9u64], PlacementPolicy::BestFit, 0.1, &none);
+        lookup(&ctx, &sig, PlacementPolicy::FirstFit, 0.1, &none);
+        lookup(&ctx, &sig, PlacementPolicy::BestFit, 0.2, &none);
         let faulted = gsf_maintenance::FaultModel::paper(3).signature();
-        ctx.sizing(&trace, &sig, shape, shape, PlacementPolicy::BestFit, 0.1, &faulted, 1, outcome)
-            .unwrap();
+        lookup(&ctx, &sig, PlacementPolicy::BestFit, 0.1, &faulted);
         let s = ctx.stats();
         assert_eq!((s.sizing_hits, s.sizing_misses, s.sizing_entries), (1, 5, 5));
 
         let passthrough = EvalContext::uncached();
-        let c = passthrough
-            .sizing(&trace, &sig, shape, shape, PlacementPolicy::BestFit, 0.1, &none, 1, outcome)
-            .unwrap();
-        let d = passthrough
-            .sizing(&trace, &sig, shape, shape, PlacementPolicy::BestFit, 0.1, &none, 1, outcome)
-            .unwrap();
+        let c = lookup(&passthrough, &sig, PlacementPolicy::BestFit, 0.1, &none);
+        let d = lookup(&passthrough, &sig, PlacementPolicy::BestFit, 0.1, &none);
         assert!(!Arc::ptr_eq(&c, &d), "uncached context recomputes");
         assert_eq!(passthrough.stats().sizing_entries, 0);
     }
@@ -687,18 +641,18 @@ mod tests {
             || PreparedTrace::new(&trace, &|vm| gsf_vmalloc::PlacementRequest::baseline_only(vm));
         let sig = [1u64, 2, 3];
         let ctx = EvalContext::new();
-        let a = ctx.prepared(&trace, &sig, build);
-        let b = ctx.prepared(&trace, &sig, build);
+        let a = ctx.prepared_by_hash(trace.content_hash(), &sig, build);
+        let b = ctx.prepared_by_hash(trace.content_hash(), &sig, build);
         assert!(Arc::ptr_eq(&a, &b), "second lookup must be a hit");
         // A different decision table misses (even on the same trace).
-        let c = ctx.prepared(&trace, &[9u64], build);
+        let c = ctx.prepared_by_hash(trace.content_hash(), &[9u64], build);
         assert!(!Arc::ptr_eq(&a, &c));
         let s = ctx.stats();
         assert_eq!((s.prepared_hits, s.prepared_misses, s.prepared_entries), (1, 2, 2));
 
         let passthrough = EvalContext::uncached();
-        let d = passthrough.prepared(&trace, &sig, build);
-        let e = passthrough.prepared(&trace, &sig, build);
+        let d = passthrough.prepared_by_hash(trace.content_hash(), &sig, build);
+        let e = passthrough.prepared_by_hash(trace.content_hash(), &sig, build);
         assert!(!Arc::ptr_eq(&d, &e), "uncached context rebuilds");
         assert_eq!(*d, *e, "...but the plans are identical");
         assert_eq!(passthrough.stats().prepared_entries, 0);
@@ -731,8 +685,8 @@ mod tests {
         let shape = ServerShape { cores: 80, mem_gb: 768.0 };
         let ctx = EvalContext::new();
         let run = |shards: usize, n: u32| {
-            ctx.sizing(
-                &trace,
+            ctx.sizing_hashed(
+                trace.content_hash(),
                 &sig,
                 shape,
                 shape,
@@ -784,10 +738,10 @@ mod tests {
             let t = t.clone();
             move || PreparedTrace::new(&t, &|vm| gsf_vmalloc::PlacementRequest::baseline_only(vm))
         };
-        let a = ctx.prepared(&trace, &sig, build(&trace));
-        let b = ctx.prepared(&rebuilt, &sig, build(&rebuilt));
+        let a = ctx.prepared_by_hash(trace.content_hash(), &sig, build(&trace));
+        let b = ctx.prepared_by_hash(rebuilt.content_hash(), &sig, build(&rebuilt));
         assert!(Arc::ptr_eq(&a, &b), "identical content must hit across allocations");
-        let c = ctx.prepared(&other, &sig, build(&other));
+        let c = ctx.prepared_by_hash(other.content_hash(), &sig, build(&other));
         assert!(!Arc::ptr_eq(&a, &c), "different trace must miss");
         let s = ctx.stats();
         assert_eq!((s.prepared_hits, s.prepared_misses, s.prepared_entries), (1, 2, 2));
@@ -805,8 +759,18 @@ mod tests {
         let none = gsf_maintenance::FaultModel::none().signature();
         let shape = ServerShape { cores: 80, mem_gb: 768.0 };
         let run = |t: &Trace| {
-            ctx.sizing(t, &sig, shape, shape, PlacementPolicy::BestFit, 0.1, &none, 1, outcome)
-                .unwrap()
+            ctx.sizing_hashed(
+                t.content_hash(),
+                &sig,
+                shape,
+                shape,
+                PlacementPolicy::BestFit,
+                0.1,
+                &none,
+                1,
+                outcome,
+            )
+            .unwrap()
         };
         let x = run(&trace);
         assert!(Arc::ptr_eq(&x, &run(&rebuilt)));

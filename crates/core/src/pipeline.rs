@@ -350,8 +350,9 @@ impl GsfPipeline {
         // share one run of the binary searches. The fault-model
         // signature is part of the key, so fault-injected and
         // fault-free evaluations never share an entry.
-        let sizing = self.ctx.sizing(
-            trace,
+        let trace_hash = trace.content_hash();
+        let sizing = self.ctx.sizing_hashed(
+            trace_hash,
             &setup.decision_signature,
             setup.baseline_shape,
             setup.green_shape,
@@ -366,10 +367,11 @@ impl GsfPipeline {
                 // routing-identical sweep. The empty signature marks
                 // the baseline-only plan; routed signatures always
                 // start with the catalog length, so they never collide.
-                let prepared = self.ctx.prepared(trace, &setup.decision_signature, || {
-                    PreparedTrace::new(trace, &transform)
-                });
-                let prepared_baseline = self.ctx.prepared(trace, &[], || {
+                let prepared =
+                    self.ctx.prepared_by_hash(trace_hash, &setup.decision_signature, || {
+                        PreparedTrace::new(trace, &transform)
+                    });
+                let prepared_baseline = self.ctx.prepared_by_hash(trace_hash, &[], || {
                     PreparedTrace::new(trace, &|vm: &VmSpec| PlacementRequest::baseline_only(vm))
                 });
                 self.size_and_replay(&setup, &prepared, &prepared_baseline, trace.duration_s())

@@ -10,13 +10,20 @@
 //! (zero marginal allocations per event), and that shared constant is
 //! small in absolute terms.
 //!
+//! The fault path gets the same pin: a warmed replay striking both
+//! traces with one fixed plan (a full failure, a degrade, and a revive
+//! of the failed server, all on a pool with room to evacuate into)
+//! allocates exactly as much on the 10×-larger trace. Its constant is
+//! the ledger root plus the one downtime-map node the failure opens.
+//!
 //! This test must be the only `#[test]` in its binary: the counting
 //! allocator is process-global, and a concurrently running test would
 //! perturb the counts.
 
 use gsf_perf::alloc_count::CountingAllocator;
 use gsf_vmalloc::{
-    AllocationSim, ClusterConfig, FaultPlan, PlacementPolicy, PlacementRequest, PreparedTrace,
+    AllocationSim, ClusterConfig, FaultEvent, FaultKind, FaultPlan, FaultPool, PlacementPolicy,
+    PlacementRequest, PreparedTrace,
 };
 use gsf_workloads::{ServerGeneration, Trace, VmEvent, VmEventKind, VmSpec};
 
@@ -65,26 +72,48 @@ fn steady_state_replay_allocates_zero_per_event() {
     let config = ClusterConfig::baseline_only(60);
     let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
     let empty = FaultPlan::empty();
+    // Server 0 hosts VMs of both traces when it fails at t=2000; the
+    // other 59 servers absorb every displaced VM, so nothing waits in
+    // the pending queue.
+    let strike = |time_s: f64, server: u32, kind: FaultKind| FaultEvent {
+        time_s,
+        pool: FaultPool::Baseline,
+        server,
+        kind,
+    };
+    let faulted = FaultPlan::new(
+        vec![
+            strike(2_000.0, 0, FaultKind::FullFailure),
+            strike(3_000.0, 1, FaultKind::PartialDegrade { cores_lost: 40, mem_lost_gb: 0.0 }),
+            strike(5_000.0, 0, FaultKind::Revive),
+        ],
+        3,
+        60,
+        0,
+    )
+    .expect("the plan addresses servers of the 60-server pool");
 
     // Warm: grow the arena, occupancy lists, and scratch buffers to the
-    // large trace's high-water marks.
-    sim.replay_prepared_faulted(&prepared_large, &empty);
-    sim.reset(config);
-    sim.replay_prepared_faulted(&prepared_small, &empty);
-    sim.reset(config);
+    // high-water marks of every replay measured below.
+    for plan in [&empty, &faulted] {
+        for prepared in [&prepared_large, &prepared_small] {
+            sim.replay_prepared_faulted(prepared, plan);
+            sim.reset(config);
+        }
+    }
 
-    let mut measure = |prepared: &PreparedTrace, n_vms: usize| -> u64 {
+    let mut measure = |prepared: &PreparedTrace, n_vms: usize, plan: &FaultPlan| {
         let before = ALLOC.allocations();
-        let (out, _) = sim.replay_prepared_faulted(prepared, &empty);
+        let (out, summary) = sim.replay_prepared_faulted(prepared, plan);
         let allocated = ALLOC.allocations() - before;
         assert_eq!(out.rejected, 0, "fixture must not reject");
         assert_eq!(out.placed_baseline, n_vms);
         sim.reset(config);
-        allocated
+        (allocated, summary)
     };
 
-    let small_allocs = measure(&prepared_small, 150);
-    let large_allocs = measure(&prepared_large, 1_500);
+    let (small_allocs, _) = measure(&prepared_small, 150, &empty);
+    let (large_allocs, _) = measure(&prepared_large, 1_500, &empty);
 
     assert_eq!(
         small_allocs, large_allocs,
@@ -98,5 +127,24 @@ fn steady_state_replay_allocates_zero_per_event() {
     assert!(
         small_allocs <= 2 * u64::from(APPS),
         "per-replay allocation constant regressed: {small_allocs}"
+    );
+
+    let (small_faulted, small_summary) = measure(&prepared_small, 150, &faulted);
+    let (large_faulted, large_summary) = measure(&prepared_large, 1_500, &faulted);
+    for summary in [small_summary, large_summary] {
+        let struck = (summary.full_failures, summary.partial_degrades, summary.revivals);
+        assert_eq!(struck, (1, 1, 1), "every fault must strike: {summary:?}");
+        assert!(summary.displaced > 0, "the failure must displace VMs: {summary:?}");
+        assert_eq!(summary.evacuated, summary.displaced, "{summary:?}");
+    }
+    assert_eq!(
+        small_faulted, large_faulted,
+        "heap allocations grew with the event count on the fault path \
+         (strike, evacuation, revive) \
+         (small trace: {small_faulted}, 10x trace: {large_faulted})"
+    );
+    assert!(
+        small_faulted <= 2 * u64::from(APPS),
+        "faulted per-replay allocation constant regressed: {small_faulted}"
     );
 }

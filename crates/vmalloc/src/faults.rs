@@ -18,7 +18,8 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Which server pool a fault strikes.
+/// One of the two server pools: the one a fault strikes, or the one a
+/// VM is placed on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum FaultPool {
     /// The baseline (Gen3) pool.
@@ -253,8 +254,8 @@ impl Default for FaultPlan {
 /// `server_down_seconds`) are exact; `max_simultaneous_displaced` sums
 /// per-shard peaks (an upper bound on the global instantaneous peak),
 /// and `blast_radius_servers` is assigned from the *global* fault plan
-/// by every replay driver, so serial and parallel execution agree
-/// bitwise.
+/// by [`crate::merge_outcomes`], which every sharded driver merges
+/// through, so serial and parallel execution agree bitwise.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct AvailabilitySummary {
     /// VM-seconds spent in the pending-placement queue: time between a

@@ -147,7 +147,7 @@ impl ServerState {
     /// Shrinks the server's usable shape in place (an FIP-absorbed
     /// partial failure), evicting the newest VMs (highest id first)
     /// until the remaining allocation fits — "fits" judged by the same
-    /// [`mem_fits`] predicate admission uses (as a zero-size request
+    /// `mem_fits` predicate admission uses (as a zero-size request
     /// against the shrunken free capacity), so the eviction loop stops
     /// exactly where [`Self::fits`] would start admitting again.
     /// Appends the evicted ids to `evicted`, newest first.

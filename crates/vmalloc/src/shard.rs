@@ -258,12 +258,19 @@ impl ShardTask<'_> {
 /// Merges per-shard results in the order given (callers pass ascending
 /// shard order): counters sum, packing summaries combine via the
 /// Welford parallel reduction, usage ledgers add per-app in ascending
-/// app order. With a single part this is the identity.
+/// app order. The blast radius comes from `plan`, the *global* fault
+/// plan the shards' plans were split from — per-shard replays only see
+/// their local slice of a correlated domain event — and is assigned,
+/// as the unsharded replay assigns it, only when a fault struck. With a
+/// single part this is the unsharded result.
 ///
 /// # Panics
 ///
 /// Panics when `parts` is empty: a merge needs at least one shard.
-pub fn merge_outcomes(parts: Vec<(SimOutcome, FaultSummary)>) -> (SimOutcome, FaultSummary) {
+pub fn merge_outcomes(
+    parts: Vec<(SimOutcome, FaultSummary)>,
+    plan: &FaultPlan,
+) -> (SimOutcome, FaultSummary) {
     let mut iter = parts.into_iter();
     let (mut out, mut summary) = iter.next().expect("merge_outcomes needs at least one shard");
     for (o, s) in iter {
@@ -282,6 +289,9 @@ pub fn merge_outcomes(parts: Vec<(SimOutcome, FaultSummary)>) -> (SimOutcome, Fa
         summary.cores_lost += s.cores_lost;
         summary.mem_lost_gb += s.mem_lost_gb;
         summary.availability.merge(&s.availability);
+    }
+    if summary.faults_applied() {
+        summary.availability.blast_radius_servers = plan.max_correlated_strikes();
     }
     (out, summary)
 }
@@ -348,23 +358,14 @@ impl ShardedSim {
 
     /// Serial reference replay: runs shard 0, 1, … in order and merges.
     /// Any parallel driver over [`Self::shard_tasks`] must be bitwise
-    /// equal to this — including the blast radius, which is assigned
-    /// from the *global* plan after the merge (per-shard replays only
-    /// see their local slice of a correlated domain event).
+    /// equal to this.
     pub fn replay_prepared_faulted(
         &mut self,
         prepared: &PreparedTrace,
         faults: &FaultPlan,
     ) -> (SimOutcome, FaultSummary) {
-        let mut parts = Vec::with_capacity(self.shards());
-        for task in &mut self.shard_tasks(prepared, faults) {
-            parts.push(task.run(prepared));
-        }
-        let (out, mut summary) = merge_outcomes(parts);
-        if summary.faults_applied() {
-            summary.availability.blast_radius_servers = faults.max_correlated_strikes();
-        }
-        (out, summary)
+        let tasks = self.shard_tasks(prepared, faults);
+        merge_outcomes(tasks.into_iter().map(|mut task| task.run(prepared)).collect(), faults)
     }
 }
 
@@ -572,10 +573,11 @@ mod tests {
         let t = sample_trace(30);
         let prepared = PreparedTrace::new(&t, &transform);
         let mut sim = AllocationSim::new(ClusterConfig::mixed(3, 2), PlacementPolicy::BestFit);
-        let part = sim.replay_prepared_faulted(&prepared, &FaultPlan::empty());
-        let merged = merge_outcomes(vec![part.clone()]);
+        let empty = FaultPlan::empty();
+        let part = sim.replay_prepared_faulted(&prepared, &empty);
+        let merged = merge_outcomes(vec![part.clone()], &empty);
         assert_eq!(merged, part);
-        let doubled = merge_outcomes(vec![part.clone(), part.clone()]);
+        let doubled = merge_outcomes(vec![part.clone(), part.clone()], &empty);
         assert_eq!(doubled.0.placed_green, 2 * part.0.placed_green);
         assert_eq!(doubled.0.placed_baseline, 2 * part.0.placed_baseline);
         assert_eq!(doubled.0.metrics.snapshots(), 2 * part.0.metrics.snapshots());

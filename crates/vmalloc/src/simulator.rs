@@ -14,6 +14,11 @@
 //! scan. The differential harness in `gsf-cluster` (a `ci.sh` gate)
 //! pins the whole replay bit for bit to a reference simulator that
 //! resolves each event on the spot and selects by that scan.
+//!
+//! The code is cut like that reference: every server mutation goes
+//! through a private `Pool`, which keeps its index in step, and a
+//! private `Run` holds one replay's state and applies each event and
+//! fault to the two pools.
 
 use crate::arena::VmArena;
 use crate::cluster::ClusterConfig;
@@ -93,18 +98,13 @@ impl PlacementRequest {
 /// GSF adoption component plugs into allocation.
 pub type VmTransform<'a> = dyn Fn(&VmSpec) -> PlacementRequest + 'a;
 
-/// Where a VM ended up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Placement {
-    Baseline(usize),
-    Green(usize),
-}
-
-/// Book-keeping for a currently placed VM.
+/// Book-keeping for a currently placed VM: where it lives, since when,
+/// and what it is charged.
 #[derive(Debug, Clone, Copy)]
-struct ActiveVm {
-    placement: Placement,
-    arrival_s: f64,
+struct Resident {
+    pool: FaultPool,
+    server: usize,
+    since_s: f64,
     cores: u32,
     app_index: u16,
 }
@@ -153,97 +153,34 @@ pub struct HighWaterMarks {
 /// The allocation simulator.
 #[derive(Debug)]
 pub struct AllocationSim {
-    baseline: Vec<ServerState>,
-    green: Vec<ServerState>,
+    baseline: Pool,
+    green: Pool,
     policy: PlacementPolicy,
     snapshot_interval_s: f64,
-    /// Placement high-water marks since the last reset; read by
-    /// [`Self::high_water_marks`], never part of a [`SimOutcome`].
-    high_water: HighWaterMarks,
-    /// Free-capacity index per pool.
-    baseline_index: PlacementIndex,
-    green_index: PlacementIndex,
-    /// Pristine per-pool shapes, kept so a [`FaultKind::Revive`] can
-    /// restore a repaired server to its original capacity even after a
-    /// degrade took it offline-adjacent.
-    baseline_shape: ServerShape,
-    green_shape: ServerShape,
     /// Cluster-wide slot storage for every placed VM; servers hold
     /// occupancy lists of arena slots (see [`crate::arena`]).
     arena: VmArena,
-    /// Persistent replay buffers; see [`ReplayScratch`].
-    scratch: ReplayScratch,
-}
-
-/// Simulator-owned buffers reused across replays and events so the
-/// steady-state event loop performs no heap allocation: the active-VM
-/// table plus the displaced/retry/pending-drain buffers of the fault
-/// path. Each buffer is taken
-/// ([`std::mem::take`]) for the duration of a pass that also needs
-/// `&mut self`, then cleared and put back, which preserves its
-/// capacity for the next replay.
-#[derive(Debug, Default)]
-struct ReplayScratch {
-    /// Active-VM table, indexed by trace slot.
-    placements: Vec<Option<ActiveVm>>,
-    /// Ids displaced by the current fault (strike output, then the
-    /// still-homeless set between retry passes).
+    /// The residency table and the displaced-id buffer, kept between
+    /// replays so the steady-state event loop performs no heap
+    /// allocation: a `Run` takes each for as long as it needs it, then
+    /// clears it and puts it back, which preserves its capacity for the
+    /// next replay.
+    residents: Vec<Option<Resident>>,
     displaced: Vec<u64>,
-    /// The ids a retry pass failed to place; swapped with `displaced`
-    /// between passes.
-    unplaced: Vec<u64>,
-    /// Snapshot of the pending-queue keys for a revive drain, reused
-    /// instead of collecting a fresh `Vec` per drain.
-    pending_ids: Vec<u64>,
-}
-
-/// Per-replay fault bookkeeping: the pending re-placement queue and
-/// offline-server tracking that turn terminal evacuation failures into
-/// measured downtime once repairs exist.
-struct FaultRuntime {
-    /// VMs displaced into a saturated fleet, waiting for capacity to
-    /// return: id → time the wait began. Drained (ascending id) when a
-    /// revive brings a server back; entries still here when the VM
-    /// departs or the horizon arrives become
-    /// [`FaultSummary::evacuation_failures`].
-    pending: BTreeMap<u64, f64>,
-    /// Fully-failed servers: (pool, index) → failure time. Closed out
-    /// by the matching revive or at the horizon into
-    /// [`crate::AvailabilitySummary::server_down_seconds`].
-    down_since: BTreeMap<(FaultPool, u32), f64>,
-    /// VM-seconds of settled residency, accumulated at every usage
-    /// settlement site in settlement order.
-    served_s: f64,
-}
-
-impl FaultRuntime {
-    fn new() -> Self {
-        Self { pending: BTreeMap::new(), down_since: BTreeMap::new(), served_s: 0.0 }
-    }
 }
 
 impl AllocationSim {
     /// Creates a simulator for `config` with the given policy, selecting
     /// servers through the placement index.
     pub fn new(config: ClusterConfig, policy: PlacementPolicy) -> Self {
-        let baseline: Vec<ServerState> =
-            (0..config.baseline_count).map(|_| ServerState::new(config.baseline_shape)).collect();
-        let green: Vec<ServerState> =
-            (0..config.green_count).map(|_| ServerState::new(config.green_shape)).collect();
-        let baseline_index = PlacementIndex::new(&baseline);
-        let green_index = PlacementIndex::new(&green);
         Self {
-            baseline,
-            green,
+            baseline: Pool::new(config.baseline_count, config.baseline_shape),
+            green: Pool::new(config.green_count, config.green_shape),
             policy,
             snapshot_interval_s: 3600.0,
-            high_water: HighWaterMarks::default(),
-            baseline_index,
-            green_index,
-            baseline_shape: config.baseline_shape,
-            green_shape: config.green_shape,
             arena: VmArena::new(),
-            scratch: ReplayScratch::default(),
+            residents: Vec::new(),
+            displaced: Vec::new(),
         }
     }
 
@@ -253,10 +190,9 @@ impl AllocationSim {
     /// the arena's live-slot count. The proptest invariant suite calls
     /// this after random place/remove/fail/degrade/reset sequences.
     pub fn storage_consistent(&self) -> bool {
-        let occupancy: usize =
-            self.baseline.iter().chain(&self.green).map(ServerState::vm_count).sum();
-        occupancy == self.arena.live()
-            && self.baseline.iter().chain(&self.green).all(|s| s.storage_consistent(&self.arena))
+        let servers = || self.baseline.servers.iter().chain(&self.green.servers);
+        servers().map(ServerState::vm_count).sum::<usize>() == self.arena.live()
+            && servers().all(|s| s.storage_consistent(&self.arena))
     }
 
     /// Overrides the metrics snapshot interval (default hourly).
@@ -268,7 +204,7 @@ impl AllocationSim {
     /// The per-pool placement high-water marks since the last
     /// [`Self::reset`] (or construction).
     pub fn high_water_marks(&self) -> HighWaterMarks {
-        self.high_water
+        HighWaterMarks { baseline: self.baseline.high_water, green: self.green.high_water }
     }
 
     /// Re-shapes the cluster to `config` and empties every server,
@@ -278,24 +214,9 @@ impl AllocationSim {
     /// sizing searches call this between feasibility probes instead of
     /// rebuilding the simulator.
     pub fn reset(&mut self, config: ClusterConfig) {
-        fn resize_pool(pool: &mut Vec<ServerState>, count: u32, shape: crate::ServerShape) {
-            let count = count as usize;
-            pool.truncate(count);
-            for server in pool.iter_mut() {
-                server.reset(shape);
-            }
-            while pool.len() < count {
-                pool.push(ServerState::new(shape));
-            }
-        }
-        resize_pool(&mut self.baseline, config.baseline_count, config.baseline_shape);
-        resize_pool(&mut self.green, config.green_count, config.green_shape);
+        self.baseline.reset(config.baseline_count, config.baseline_shape);
+        self.green.reset(config.green_count, config.green_shape);
         self.arena.reset();
-        self.high_water = HighWaterMarks::default();
-        self.baseline_shape = config.baseline_shape;
-        self.green_shape = config.green_shape;
-        self.baseline_index.rebuild(&self.baseline);
-        self.green_index.rebuild(&self.green);
     }
 
     /// Kept for the `benchmark/` package, which calls it: forwards to
@@ -358,224 +279,138 @@ impl AllocationSim {
         events: &[PreparedEvent],
         plan: &FaultPlan,
     ) -> (SimOutcome, FaultSummary) {
-        let mut placements = std::mem::take(&mut self.scratch.placements);
-        placements.clear();
-        placements.resize(prepared.vm_count(), None);
-        let mut usage = UsageLedger::new();
-        let mut metrics = PackingMetrics::new();
-        let mut rejected = 0usize;
-        let mut placed_green = 0usize;
-        let mut placed_baseline = 0usize;
-        let mut green_overflow = 0usize;
-        let mut next_snapshot = self.snapshot_interval_s;
-        let mut summary = FaultSummary::default();
-        let mut runtime = FaultRuntime::new();
-        let faults = plan.events();
-        let mut next_fault = 0usize;
-        let duration_s = prepared.duration_s();
-
+        let mut run = Run::new(self, prepared, plan);
         for event in events {
-            // Faults due by this event apply first — but never past the
-            // horizon, even when the trace's event tail extends beyond
-            // it (a repair completing after the horizon must not land).
-            while next_fault < faults.len()
-                && faults[next_fault].time_s <= event.time_s
-                && faults[next_fault].time_s <= duration_s
-            {
-                self.drain_snapshots(
-                    &mut metrics,
-                    &mut next_snapshot,
-                    faults[next_fault].time_s,
-                    duration_s,
-                );
-                self.apply_fault_prepared(
-                    &faults[next_fault],
-                    plan.max_evac_passes(),
-                    prepared,
-                    &mut placements,
-                    &mut usage,
-                    &mut summary,
-                    &mut runtime,
-                );
-                next_fault += 1;
-            }
-            self.drain_snapshots(&mut metrics, &mut next_snapshot, event.time_s, duration_s);
-            let vm = prepared.vm(event.slot);
+            run.advance(event.time_s);
             match event.kind {
-                VmEventKind::Arrival => {
-                    let request = &vm.request;
-                    match self.place(vm.id, vm.max_mem_util, request) {
-                        Some(p @ Placement::Green(_)) => {
-                            placed_green += 1;
-                            placements[event.slot as usize] = Some(ActiveVm {
-                                placement: p,
-                                arrival_s: event.time_s,
-                                cores: request.green_cores,
-                                app_index: vm.app_index,
-                            });
-                        }
-                        Some(p @ Placement::Baseline(_)) => {
-                            placed_baseline += 1;
-                            if request.target == TargetPool::PreferGreen {
-                                green_overflow += 1;
-                            }
-                            placements[event.slot as usize] = Some(ActiveVm {
-                                placement: p,
-                                arrival_s: event.time_s,
-                                cores: request.baseline_cores,
-                                app_index: vm.app_index,
-                            });
-                        }
-                        None => rejected += 1,
-                    }
-                }
-                VmEventKind::Departure => {
-                    // A miss means the VM was rejected on arrival — or
-                    // displaced into the pending queue, in which case
-                    // the wait ends here as a failure.
-                    if let Some(active) = placements[event.slot as usize].take() {
-                        let dwell = event.time_s - active.arrival_s;
-                        runtime.served_s += dwell;
-                        self.remove_placed(active.placement, vm.id);
-                        match active.placement {
-                            Placement::Baseline(_) => {
-                                usage.record_baseline(active.app_index, active.cores, dwell);
-                            }
-                            Placement::Green(_) => {
-                                usage.record_green(active.app_index, active.cores, dwell);
-                            }
-                        }
-                    } else if let Some(since) = runtime.pending.remove(&vm.id) {
-                        summary.evacuation_failures += 1;
-                        summary.availability.vm_seconds_lost += event.time_s - since;
-                    }
-                }
+                VmEventKind::Arrival => run.arrive(event.slot, event.time_s),
+                VmEventKind::Departure => run.depart(event.slot, event.time_s),
             }
         }
         // Faults past the last trace event but within the horizon still
-        // strike (their evacuation failures count).
-        while next_fault < faults.len() && faults[next_fault].time_s <= duration_s {
-            self.drain_snapshots(
-                &mut metrics,
-                &mut next_snapshot,
-                faults[next_fault].time_s,
-                duration_s,
-            );
-            self.apply_fault_prepared(
-                &faults[next_fault],
-                plan.max_evac_passes(),
-                prepared,
-                &mut placements,
-                &mut usage,
-                &mut summary,
-                &mut runtime,
-            );
-            next_fault += 1;
-        }
-        // Interim snapshots run to the horizon even when the trace tail
-        // is event-free, then the horizon itself is sampled once.
-        self.drain_snapshots(&mut metrics, &mut next_snapshot, duration_s, duration_s);
-        metrics.snapshot(&self.baseline, &self.green, &self.arena);
-        // VMs still resident at the horizon are charged to the end of
-        // the trace, in ascending VM-id order so the per-app float
-        // accumulation is reproducible.
-        for &slot in prepared.slots_by_id() {
-            if let Some(active) = placements[slot as usize].take() {
-                let dwell = duration_s - active.arrival_s;
-                runtime.served_s += dwell;
-                match active.placement {
-                    Placement::Baseline(_) => {
-                        usage.record_baseline(active.app_index, active.cores, dwell);
-                    }
-                    Placement::Green(_) => {
-                        usage.record_green(active.app_index, active.cores, dwell);
-                    }
-                }
-            }
-        }
-        placements.clear();
-        self.scratch.placements = placements;
-        Self::settle_fault_runtime(&mut summary, &runtime, duration_s);
-        (
-            SimOutcome { rejected, placed_green, placed_baseline, green_overflow, metrics, usage },
-            summary,
-        )
+        // strike (their evacuation failures count), and interim
+        // snapshots run to the horizon even when the trace tail is
+        // event-free.
+        run.advance(prepared.duration_s());
+        run.finish()
     }
 
-    /// Horizon close-out of the fault runtime: pending VMs never
-    /// re-placed become evacuation failures
-    /// with downtime to the horizon, still-offline servers accrue
-    /// down-seconds to the horizon, and the served-time denominator is
-    /// published — but only when at least one fault actually struck, so
-    /// an inert plan keeps the summary bit-identical to the default.
-    fn settle_fault_runtime(summary: &mut FaultSummary, runtime: &FaultRuntime, duration_s: f64) {
-        for since in runtime.pending.values() {
-            summary.evacuation_failures += 1;
-            summary.availability.vm_seconds_lost += duration_s - since;
-        }
-        for since in runtime.down_since.values() {
-            summary.availability.server_down_seconds += duration_s - since;
-        }
-        if summary.faults_applied() {
-            summary.availability.vm_seconds_served = runtime.served_s;
+    /// The pool `which` names, with the arena its servers store VMs in.
+    fn pool(&mut self, which: FaultPool) -> (&mut Pool, &mut VmArena) {
+        match which {
+            FaultPool::Baseline => (&mut self.baseline, &mut self.arena),
+            FaultPool::Green => (&mut self.green, &mut self.arena),
         }
     }
+}
 
-    /// Takes every metrics snapshot due at or before `upto`, leaving
-    /// the horizon sample (taken unconditionally once per replay) to
-    /// the caller.
-    fn drain_snapshots(
-        &self,
-        metrics: &mut PackingMetrics,
-        next_snapshot: &mut f64,
-        upto: f64,
-        duration_s: f64,
-    ) {
-        while *next_snapshot <= upto && *next_snapshot < duration_s {
-            metrics.snapshot(&self.baseline, &self.green, &self.arena);
-            *next_snapshot += self.snapshot_interval_s;
+/// One server pool: its servers, their free-capacity index, the
+/// pristine shape, and the placement high-water mark. Every server
+/// mutation goes through a method here, and each one refreshes the
+/// mutated server's index entry.
+#[derive(Debug)]
+struct Pool {
+    servers: Vec<ServerState>,
+    /// Free-capacity index over `servers`.
+    index: PlacementIndex,
+    /// Pristine shape, kept so a [`FaultKind::Revive`] can restore a
+    /// repaired server to its original capacity even after a degrade
+    /// took it offline-adjacent.
+    shape: ServerShape,
+    /// One past the highest server index any placement chose since the
+    /// last reset; read by [`AllocationSim::high_water_marks`], never
+    /// part of a [`SimOutcome`].
+    high_water: u32,
+}
+
+impl Pool {
+    fn new(count: u32, shape: ServerShape) -> Self {
+        let index = PlacementIndex::new(&[]);
+        let mut pool = Self { servers: Vec::new(), index, shape, high_water: 0 };
+        pool.reset(count, shape);
+        pool
+    }
+
+    /// Re-shapes the pool to `count` empty servers of `shape`, reusing
+    /// the server vector and occupancy lists, and rebuilds the index.
+    fn reset(&mut self, count: u32, shape: ServerShape) {
+        let count = count as usize;
+        self.servers.truncate(count);
+        for server in &mut self.servers {
+            server.reset(shape);
         }
+        self.servers.resize(count, ServerState::new(shape));
+        self.shape = shape;
+        self.high_water = 0;
+        self.index.rebuild(&self.servers);
+    }
+
+    /// Selects a server for one request through the placement index.
+    ///
+    /// Debug builds cross-check every selection against
+    /// [`PlacementPolicy::choose_linear`] *and* re-validate the whole
+    /// index against the pool, so any mutation path that forgets to
+    /// refresh the index fails loudly in tests instead of silently
+    /// diverging.
+    fn choose(&self, policy: PlacementPolicy, cores: u32, mem_gb: f64) -> Option<usize> {
+        debug_assert!(
+            self.index.validate(&self.servers),
+            "placement index out of sync with its pool"
+        );
+        let chosen = self.index.choose(policy, &self.servers, cores, mem_gb);
+        debug_assert_eq!(
+            chosen,
+            policy.choose_linear(&self.servers, cores, mem_gb),
+            "indexed selection diverged from the linear reference \
+             ({policy}, cores={cores}, mem_gb={mem_gb})"
+        );
+        chosen
+    }
+
+    /// Places VM `vm_id` on server `i` and raises the high-water mark.
+    fn place(&mut self, arena: &mut VmArena, i: usize, vm_id: u64, vm: PlacedVm) {
+        self.servers[i].place(arena, vm_id, vm);
+        self.index.refresh(i, &self.servers[i]);
+        self.high_water = self.high_water.max(i as u32 + 1);
+    }
+
+    /// Removes VM `vm_id` from server `i`.
+    fn remove(&mut self, arena: &mut VmArena, i: usize, vm_id: u64) {
+        self.servers[i].remove(arena, vm_id);
+        self.index.refresh(i, &self.servers[i]);
     }
 
     /// Applies the capacity change of one fault to the struck server
     /// and updates the loss accounting. Appends the displaced VM ids to
     /// `displaced` in ascending order (none for a revive) and returns
-    /// `Some(())`, or `None` when the fault strikes nothing: the plan
-    /// addresses a server this configuration does not have, a failure
-    /// lands on a server already offline, or a revive lands on a server
-    /// that is not offline (it may have been repaired by an earlier
+    /// `true`, or returns `false` when the fault strikes nothing: the
+    /// plan addresses a server this pool does not have, a failure lands
+    /// on a server already offline, or a revive lands on a server that
+    /// is not offline (it may have been repaired by an earlier
     /// rack-level revive already).
     fn strike(
         &mut self,
+        arena: &mut VmArena,
         fault: &FaultEvent,
         summary: &mut FaultSummary,
         displaced: &mut Vec<u64>,
-    ) -> Option<()> {
-        let arena = &mut self.arena;
-        let (pool, index, pristine) = match fault.pool {
-            FaultPool::Baseline => {
-                (&mut self.baseline, &mut self.baseline_index, self.baseline_shape)
-            }
-            FaultPool::Green => (&mut self.green, &mut self.green_index, self.green_shape),
+    ) -> bool {
+        let i = fault.server as usize;
+        let Some(server) = self.servers.get_mut(i) else {
+            return false;
         };
-        let struck = fault.server as usize;
-        let server = pool.get_mut(struck)?;
-        if matches!(fault.kind, FaultKind::Revive) {
+        match fault.kind {
             // Only a fully-failed server is repairable; degraded ones
             // failed in place and stay degraded. (An offline server is
             // empty, so the reset leaks no arena slots.)
-            if !server.is_offline() {
-                return None;
+            FaultKind::Revive => {
+                if !server.is_offline() {
+                    return false;
+                }
+                server.reset(self.shape);
+                summary.revivals += 1;
             }
-            server.reset(pristine);
-            summary.revivals += 1;
-            index.refresh(struck, server);
-            return Some(());
-        }
-        if server.is_offline() {
-            return None;
-        }
-        match fault.kind {
+            _ if server.is_offline() => return false,
             FaultKind::FullFailure => {
                 summary.full_failures += 1;
                 summary.cores_lost += u64::from(server.shape().cores);
@@ -590,152 +425,227 @@ impl AllocationSim {
                 summary.cores_lost += u64::from(before.cores - after.cores);
                 summary.mem_lost_gb += before.mem_gb - after.mem_gb;
             }
-            // Handled by the early return above; kept total so the
-            // match needs no panic arm.
-            FaultKind::Revive => {}
         }
-        index.refresh(struck, server);
+        self.index.refresh(i, server);
         displaced.sort_unstable();
-        Some(())
+        true
     }
+}
 
-    /// Applies one fault: strikes the server,
-    /// settles usage for displaced VMs up to the fault time, then tries
-    /// to re-place them (ascending id order) with bounded retry passes;
-    /// VMs still homeless afterwards join the pending queue. A revive
-    /// instead closes the server's downtime and drains the queue.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_fault_prepared(
-        &mut self,
-        fault: &FaultEvent,
-        max_passes: u32,
-        prepared: &PreparedTrace,
-        placements: &mut [Option<ActiveVm>],
-        usage: &mut UsageLedger,
-        summary: &mut FaultSummary,
-        runtime: &mut FaultRuntime,
-    ) {
-        // The displaced/retry buffers are scratch fields, taken out so
-        // the inner pass can keep borrowing `&mut self`.
-        let mut pending = std::mem::take(&mut self.scratch.displaced);
-        let mut unplaced = std::mem::take(&mut self.scratch.unplaced);
-        self.apply_fault_prepared_buffered(
-            fault,
-            max_passes,
+/// The state of one replay: the simulator it drives, the prepared trace
+/// and fault plan it walks, and everything the replay accumulates.
+struct Run<'a> {
+    sim: &'a mut AllocationSim,
+    prepared: &'a PreparedTrace,
+    plan: &'a FaultPlan,
+    /// Index of the next fault of `plan` to apply.
+    next_fault: usize,
+    /// When the next interim metrics snapshot is due.
+    next_snapshot_s: f64,
+    /// Resident VMs, indexed by trace slot.
+    residents: Vec<Option<Resident>>,
+    /// Placement counters, packing metrics and usage so far.
+    outcome: SimOutcome,
+    summary: FaultSummary,
+    /// VMs displaced into a saturated fleet, waiting for capacity to
+    /// return: id → time the wait began. Retried (ascending id) when a
+    /// revive brings a server back; entries still here when the VM
+    /// departs or the horizon arrives become
+    /// [`FaultSummary::evacuation_failures`].
+    pending: BTreeMap<u64, f64>,
+    /// Fully-failed servers: (pool, index) → failure time. Closed out
+    /// by the matching revive or at the horizon into
+    /// [`crate::AvailabilitySummary::server_down_seconds`].
+    down_since: BTreeMap<(FaultPool, u32), f64>,
+    /// VM-seconds of settled residency, accumulated at every usage
+    /// settlement in settlement order.
+    served_s: f64,
+}
+
+impl<'a> Run<'a> {
+    fn new(sim: &'a mut AllocationSim, prepared: &'a PreparedTrace, plan: &'a FaultPlan) -> Self {
+        let mut residents = std::mem::take(&mut sim.residents);
+        residents.clear();
+        residents.resize(prepared.vm_count(), None);
+        let next_snapshot_s = sim.snapshot_interval_s;
+        let outcome = SimOutcome {
+            rejected: 0,
+            placed_green: 0,
+            placed_baseline: 0,
+            green_overflow: 0,
+            metrics: PackingMetrics::new(),
+            usage: UsageLedger::new(),
+        };
+        Self {
+            sim,
             prepared,
-            placements,
-            usage,
-            summary,
-            runtime,
-            &mut pending,
-            &mut unplaced,
-        );
-        pending.clear();
-        unplaced.clear();
-        self.scratch.displaced = pending;
-        self.scratch.unplaced = unplaced;
+            plan,
+            next_fault: 0,
+            next_snapshot_s,
+            residents,
+            outcome,
+            summary: FaultSummary::default(),
+            pending: BTreeMap::new(),
+            down_since: BTreeMap::new(),
+            served_s: 0.0,
+        }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn apply_fault_prepared_buffered(
-        &mut self,
-        fault: &FaultEvent,
-        max_passes: u32,
-        prepared: &PreparedTrace,
-        placements: &mut [Option<ActiveVm>],
-        usage: &mut UsageLedger,
-        summary: &mut FaultSummary,
-        runtime: &mut FaultRuntime,
-        pending: &mut Vec<u64>,
-        unplaced: &mut Vec<u64>,
-    ) {
-        if self.strike(fault, summary, pending).is_none() {
-            return;
+    /// Brings the replay up to time `t`. The faults due by `t` apply
+    /// first — but never past the horizon, even when the trace's event
+    /// tail extends beyond it (a repair completing after the horizon
+    /// must not land) — each after the snapshots due by its own time.
+    /// Then the snapshots due by `t` are taken.
+    fn advance(&mut self, t: f64) {
+        let (plan, horizon) = (self.plan, self.prepared.duration_s());
+        let faults = plan.events();
+        while let Some(fault) =
+            faults.get(self.next_fault).filter(|f| f.time_s <= t && f.time_s <= horizon)
+        {
+            self.next_fault += 1;
+            self.snapshots_until(fault.time_s);
+            self.strike(fault);
         }
-        if matches!(fault.kind, FaultKind::Revive) {
-            if let Some(since) = runtime.down_since.remove(&(fault.pool, fault.server)) {
-                summary.availability.server_down_seconds += fault.time_s - since;
-            }
-            self.drain_pending_prepared(fault.time_s, prepared, placements, summary, runtime);
-            return;
+        self.snapshots_until(t);
+    }
+
+    /// Takes every metrics snapshot due at or before `t`, leaving the
+    /// horizon sample (taken once per replay) to [`Self::finish`].
+    fn snapshots_until(&mut self, t: f64) {
+        let sim = &*self.sim;
+        while self.next_snapshot_s <= t && self.next_snapshot_s < self.prepared.duration_s() {
+            self.outcome.metrics.snapshot(&sim.baseline.servers, &sim.green.servers, &sim.arena);
+            self.next_snapshot_s += sim.snapshot_interval_s;
         }
-        if matches!(fault.kind, FaultKind::FullFailure) {
-            runtime.down_since.insert((fault.pool, fault.server), fault.time_s);
-        }
-        if pending.is_empty() {
-            return;
-        }
-        summary.displaced += pending.len();
-        summary.availability.max_simultaneous_displaced = summary
-            .availability
-            .max_simultaneous_displaced
-            .max(runtime.pending.len() + pending.len());
-        // Close out the displaced VMs' residency on their old server.
-        for id in pending.iter() {
-            let Some(slot) = prepared.slot_of_id(*id) else {
-                continue;
-            };
-            if let Some(active) = placements[slot as usize].take() {
-                let dwell = fault.time_s - active.arrival_s;
-                runtime.served_s += dwell;
-                match active.placement {
-                    Placement::Baseline(_) => {
-                        usage.record_baseline(active.app_index, active.cores, dwell);
-                    }
-                    Placement::Green(_) => {
-                        usage.record_green(active.app_index, active.cores, dwell);
-                    }
+    }
+
+    /// An arrival is placed or counted rejected; a green-preferring VM
+    /// placed on a baseline server also counts as overflow.
+    fn arrive(&mut self, slot: u32, now: f64) {
+        match self.place(slot, now) {
+            Some(FaultPool::Green) => self.outcome.placed_green += 1,
+            Some(FaultPool::Baseline) => {
+                self.outcome.placed_baseline += 1;
+                if self.prepared.vm(slot).request.target == TargetPool::PreferGreen {
+                    self.outcome.green_overflow += 1;
                 }
+            }
+            None => self.outcome.rejected += 1,
+        }
+    }
+
+    /// Places the VM in `slot` on the server the policy picks, a
+    /// GreenSKU first when its request prefers one, and makes it
+    /// resident from `now`. `None` when no server has room.
+    fn place(&mut self, slot: u32, now: f64) -> Option<FaultPool> {
+        let vm = self.prepared.vm(slot);
+        let (r, policy) = (&vm.request, self.sim.policy);
+        let green = match r.target {
+            TargetPool::PreferGreen => self.sim.green.choose(policy, r.green_cores, r.green_mem_gb),
+            TargetPool::BaselineOnly => None,
+        };
+        let (which, server, cores, mem_gb) = match green {
+            Some(i) => (FaultPool::Green, i, r.green_cores, r.green_mem_gb),
+            None => {
+                let i = self.sim.baseline.choose(policy, r.baseline_cores, r.baseline_mem_gb)?;
+                (FaultPool::Baseline, i, r.baseline_cores, r.baseline_mem_gb)
+            }
+        };
+        let (pool, arena) = self.sim.pool(which);
+        pool.place(arena, server, vm.id, PlacedVm { cores, mem_gb, max_mem_util: vm.max_mem_util });
+        let resident =
+            Resident { pool: which, server, since_s: now, cores, app_index: vm.app_index };
+        self.residents[slot as usize] = Some(resident);
+        Some(which)
+    }
+
+    /// A departure ends a residency, or a wait that never found a
+    /// server (an evacuation failure). A VM rejected on arrival is in
+    /// neither.
+    fn depart(&mut self, slot: u32, now: f64) {
+        let id = self.prepared.vm(slot).id;
+        if let Some(resident) = self.residents[slot as usize].take() {
+            let (pool, arena) = self.sim.pool(resident.pool);
+            pool.remove(arena, resident.server, id);
+            self.charge(resident, now);
+        } else if let Some(since) = self.pending.remove(&id) {
+            self.summary.evacuation_failures += 1;
+            self.summary.availability.vm_seconds_lost += now - since;
+        }
+    }
+
+    /// Books a residency's core-seconds up to `until`, and its dwell as
+    /// served time.
+    fn charge(&mut self, resident: Resident, until: f64) {
+        let dwell = until - resident.since_s;
+        self.served_s += dwell;
+        let usage = &mut self.outcome.usage;
+        match resident.pool {
+            FaultPool::Baseline => usage.record_baseline(resident.app_index, resident.cores, dwell),
+            FaultPool::Green => usage.record_green(resident.app_index, resident.cores, dwell),
+        }
+    }
+
+    /// Applies one fault: strikes the server, then either closes a
+    /// revived server's downtime and retries the pending queue, or
+    /// evacuates the VMs a failure or degrade displaced.
+    fn strike(&mut self, fault: &FaultEvent) {
+        // The displaced buffer is the simulator's, taken out so the
+        // evacuation can keep borrowing `self`.
+        let mut displaced = std::mem::take(&mut self.sim.displaced);
+        let (pool, arena) = self.sim.pool(fault.pool);
+        if pool.strike(arena, fault, &mut self.summary, &mut displaced) {
+            let server = (fault.pool, fault.server);
+            match fault.kind {
+                FaultKind::Revive => {
+                    if let Some(since) = self.down_since.remove(&server) {
+                        self.summary.availability.server_down_seconds += fault.time_s - since;
+                    }
+                    self.retry_pending(fault.time_s);
+                }
+                FaultKind::FullFailure => {
+                    self.down_since.insert(server, fault.time_s);
+                    self.evacuate(&mut displaced, fault.time_s);
+                }
+                FaultKind::PartialDegrade { .. } => self.evacuate(&mut displaced, fault.time_s),
+            }
+        }
+        displaced.clear();
+        self.sim.displaced = displaced;
+    }
+
+    /// Settles the usage of the VMs a fault at `now` displaced
+    /// (ascending ids) up to the fault, then tries to re-place them
+    /// with bounded retry passes; VMs still homeless afterwards join
+    /// the pending queue.
+    fn evacuate(&mut self, displaced: &mut Vec<u64>, now: f64) {
+        if displaced.is_empty() {
+            return;
+        }
+        self.summary.displaced += displaced.len();
+        let peak = &mut self.summary.availability.max_simultaneous_displaced;
+        *peak = (*peak).max(self.pending.len() + displaced.len());
+        // Close out the displaced VMs' residency on their old server.
+        for &id in displaced.iter() {
+            let slot = self.prepared.slot_of_id(id);
+            if let Some(resident) = slot.and_then(|slot| self.residents[slot as usize].take()) {
+                self.charge(resident, now);
             }
         }
         // Bounded re-placement: each pass retries the still-homeless
-        // VMs; a pass that places nothing ends the loop early (nothing
-        // will change on the next pass either). The pass output buffer
-        // swaps with the input instead of allocating per pass.
-        for _ in 0..max_passes {
-            if pending.is_empty() {
-                break;
-            }
-            unplaced.clear();
-            for &id in pending.iter() {
-                let Some(slot) = prepared.slot_of_id(id) else {
-                    // A displaced id the prepared trace cannot resolve
-                    // has no request to re-place with. Keep it pending
-                    // so it lands in `evacuation_failures` below — a
-                    // plain `continue` once dropped it out of the
-                    // accounting entirely (the no-progress check ends
-                    // the retry loop, so this cannot spin).
-                    unplaced.push(id);
-                    continue;
-                };
-                let vm = prepared.vm(slot);
-                match self.place(vm.id, vm.max_mem_util, &vm.request) {
-                    Some(p) => {
-                        summary.evacuated += 1;
-                        let cores = match p {
-                            Placement::Green(_) => vm.request.green_cores,
-                            Placement::Baseline(_) => vm.request.baseline_cores,
-                        };
-                        placements[slot as usize] = Some(ActiveVm {
-                            placement: p,
-                            arrival_s: fault.time_s,
-                            cores,
-                            app_index: vm.app_index,
-                        });
-                    }
-                    None => unplaced.push(id),
-                }
-            }
-            let progressed = unplaced.len() < pending.len();
-            std::mem::swap(pending, unplaced);
-            if !progressed {
+        // VMs in place; a pass that places nothing ends the loop early
+        // (nothing will change on the next pass either).
+        for _ in 0..self.plan.max_evac_passes() {
+            let before = displaced.len();
+            displaced.retain(|&id| !self.rehome(id, now));
+            if displaced.is_empty() || displaced.len() == before {
                 break;
             }
         }
         // Still homeless: wait in the pending queue for capacity to
         // return (a revive drains it; departure/horizon fail it).
-        for &id in pending.iter() {
-            runtime.pending.insert(id, fault.time_s);
+        for &id in displaced.iter() {
+            self.pending.insert(id, now);
         }
     }
 
@@ -744,142 +654,65 @@ impl AllocationSim {
     /// only consume capacity, so a VM that does not fit now will not
     /// fit later in the same drain. Unresolvable ids stay queued (they
     /// have no request to re-place with) and fail at the horizon.
-    fn drain_pending_prepared(
-        &mut self,
-        now: f64,
-        prepared: &PreparedTrace,
-        placements: &mut [Option<ActiveVm>],
-        summary: &mut FaultSummary,
-        runtime: &mut FaultRuntime,
-    ) {
-        if runtime.pending.is_empty() {
-            return;
-        }
-        // Reuse the scratch id buffer instead of collect()ing a fresh
-        // Vec per drain; `pending` is a BTreeMap, so extend() yields
-        // the same ascending-id order the collect() produced.
-        let mut ids = std::mem::take(&mut self.scratch.pending_ids);
-        ids.clear();
-        ids.extend(runtime.pending.keys().copied());
-        for &id in &ids {
-            let Some(slot) = prepared.slot_of_id(id) else {
-                continue;
-            };
-            let vm = prepared.vm(slot);
-            if let Some(p) = self.place(vm.id, vm.max_mem_util, &vm.request) {
-                summary.evacuated += 1;
-                if let Some(since) = runtime.pending.remove(&id) {
-                    summary.availability.vm_seconds_lost += now - since;
-                }
-                let cores = match p {
-                    Placement::Green(_) => vm.request.green_cores,
-                    Placement::Baseline(_) => vm.request.baseline_cores,
-                };
-                placements[slot as usize] =
-                    Some(ActiveVm { placement: p, arrival_s: now, cores, app_index: vm.app_index });
+    fn retry_pending(&mut self, now: f64) {
+        // Taken out so the retry can keep borrowing `self`; `retain`
+        // visits a `BTreeMap` in ascending key order.
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.retain(|&id, &mut since| {
+            let placed = self.rehome(id, now);
+            if placed {
+                self.summary.availability.vm_seconds_lost += now - since;
             }
-        }
-        ids.clear();
-        self.scratch.pending_ids = ids;
+            !placed
+        });
+        self.pending = pending;
     }
 
-    /// Removes a VM from the server it occupies, keeping that pool's
-    /// index in sync.
-    fn remove_placed(&mut self, placement: Placement, vm_id: u64) {
-        match placement {
-            Placement::Baseline(i) => {
-                self.baseline[i].remove(&mut self.arena, vm_id);
-                self.baseline_index.refresh(i, &self.baseline[i]);
-            }
-            Placement::Green(i) => {
-                self.green[i].remove(&mut self.arena, vm_id);
-                self.green_index.refresh(i, &self.green[i]);
-            }
+    /// Re-places a displaced VM from `now`, resolving it through the
+    /// prepared trace. A displaced id the trace cannot resolve (a VM
+    /// left resident by an earlier replay without a reset) has no
+    /// request to re-place with: it stays homeless, so it lands in
+    /// [`FaultSummary::evacuation_failures`] instead of dropping out of
+    /// the accounting.
+    fn rehome(&mut self, id: u64, now: f64) -> bool {
+        let placed = self.prepared.slot_of_id(id).and_then(|slot| self.place(slot, now)).is_some();
+        if placed {
+            self.summary.evacuated += 1;
         }
+        placed
     }
 
-    fn place(
-        &mut self,
-        vm_id: u64,
-        max_mem_util: f64,
-        request: &PlacementRequest,
-    ) -> Option<Placement> {
-        let choose_baseline = |sim: &Self| {
-            choose_in(
-                sim.policy,
-                &sim.baseline,
-                &sim.baseline_index,
-                request.baseline_cores,
-                request.baseline_mem_gb,
-            )
-        };
-        let placement = match request.target {
-            TargetPool::BaselineOnly => choose_baseline(self).map(Placement::Baseline),
-            TargetPool::PreferGreen => choose_in(
-                self.policy,
-                &self.green,
-                &self.green_index,
-                request.green_cores,
-                request.green_mem_gb,
-            )
-            .map(Placement::Green)
-            .or_else(|| choose_baseline(self).map(Placement::Baseline)),
-        };
-        match placement {
-            Some(Placement::Baseline(i)) => {
-                self.baseline[i].place(
-                    &mut self.arena,
-                    vm_id,
-                    PlacedVm {
-                        cores: request.baseline_cores,
-                        mem_gb: request.baseline_mem_gb,
-                        max_mem_util,
-                    },
-                );
-                self.baseline_index.refresh(i, &self.baseline[i]);
-                self.high_water.baseline = self.high_water.baseline.max(i as u32 + 1);
+    /// Takes the horizon sample and closes the replay out: VMs still
+    /// resident are charged to the end of the trace, in ascending VM-id
+    /// order so the per-app float accumulation is reproducible; pending
+    /// VMs never re-placed become evacuation failures with downtime to
+    /// the horizon; still-offline servers accrue down-seconds to the
+    /// horizon; and the served-time denominator is published — but
+    /// only when at least one fault actually struck, so an inert plan
+    /// keeps the summary bit-identical to the default.
+    fn finish(mut self) -> (SimOutcome, FaultSummary) {
+        let (prepared, horizon) = (self.prepared, self.prepared.duration_s());
+        let sim = &*self.sim;
+        self.outcome.metrics.snapshot(&sim.baseline.servers, &sim.green.servers, &sim.arena);
+        for &slot in prepared.slots_by_id() {
+            if let Some(resident) = self.residents[slot as usize].take() {
+                self.charge(resident, horizon);
             }
-            Some(Placement::Green(i)) => {
-                self.green[i].place(
-                    &mut self.arena,
-                    vm_id,
-                    PlacedVm {
-                        cores: request.green_cores,
-                        mem_gb: request.green_mem_gb,
-                        max_mem_util,
-                    },
-                );
-                self.green_index.refresh(i, &self.green[i]);
-                self.high_water.green = self.high_water.green.max(i as u32 + 1);
-            }
-            None => {}
         }
-        placement
+        let summary = &mut self.summary;
+        for since in self.pending.values() {
+            summary.evacuation_failures += 1;
+            summary.availability.vm_seconds_lost += horizon - since;
+        }
+        for since in self.down_since.values() {
+            summary.availability.server_down_seconds += horizon - since;
+        }
+        if summary.faults_applied() {
+            summary.availability.vm_seconds_served = self.served_s;
+        }
+        self.sim.residents = self.residents;
+        (self.outcome, self.summary)
     }
-}
-
-/// Selects a server for one request through the pool's placement index.
-///
-/// Debug builds cross-check every selection against
-/// [`PlacementPolicy::choose_linear`] *and* re-validate the whole index
-/// against the pool, so any mutation path that forgets to refresh the
-/// index fails loudly in tests instead of silently diverging.
-fn choose_in(
-    policy: PlacementPolicy,
-    servers: &[ServerState],
-    index: &PlacementIndex,
-    cores: u32,
-    mem_gb: f64,
-) -> Option<usize> {
-    debug_assert!(index.validate(servers), "placement index out of sync with its pool");
-    let chosen = index.choose(policy, servers, cores, mem_gb);
-    debug_assert_eq!(
-        chosen,
-        policy.choose_linear(servers, cores, mem_gb),
-        "indexed selection diverged from the linear reference \
-         ({policy}, cores={cores}, mem_gb={mem_gb})"
-    );
-    chosen
 }
 
 #[cfg(test)]
