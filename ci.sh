@@ -54,6 +54,8 @@ cargo test -q -p gsf-perf --test zero_alloc_replay
 # pulls in the fleet-scale 24k-VM fixture, which only runs here in
 # release (the earlier `cargo build --release` makes this cheap).
 cargo test -q --release -p gsf-core --test streamed_equivalence -- --include-ignored
+# Every truncation and bit flip of a chunked file fails typed, never panics.
+cargo test -q --release -p gsf-vmalloc --test chunk_mutation
 # The benchmark is a workspace of its own, so the workspace gates above
 # never compile it; build and test it here (every workload at smoke
 # scale against the library's public sizing and replay calls).

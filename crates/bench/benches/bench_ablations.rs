@@ -327,24 +327,22 @@ fn ablation_sharded_replay(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation: streamed vs in-memory trace handling — the chunked-trace
-/// subsystem's cost/benefit. At the 24k-VM fleet scale it times
-/// `PreparedTrace::new` against `PreparedTrace::from_chunk_stream`
-/// (bit-identical by contract, asserted here) and the decode-then-
-/// prepare middle path. At ~1M VMs over two weeks it synthesizes
-/// straight to a chunked file, then replays end-to-end streamed
-/// (file → builder → replay, no materialized `Trace`) versus
+/// Ablation: streamed vs materialized trace handling — the chunked-
+/// trace subsystem's cost/benefit. At ~1M VMs over two weeks it
+/// synthesizes straight to a chunked file, then replays end-to-end
+/// streamed (file → builder → replay, no materialized `Trace`) versus
 /// materialized (decode → prepare → replay), sampling process peak RSS
 /// after each phase. VmHWM is a lifetime high-water mark, so the
 /// streamed phase runs FIRST: the materialized phase can only push the
 /// mark higher, and the gap is memory the streamed path never
 /// allocates. Prints a JSON summary in the shape of
-/// `results/BENCH_pr8.json`.
-fn ablation_streamed_trace(c: &mut Criterion) {
-    use gsf_bench::{bench_trace_fleet, BENCH_SEED};
+/// `results/BENCH_pr8.json`'s `million` section. (Both phases prepare
+/// through the same builder; an A/B of preparation alone would time it
+/// against itself.)
+fn ablation_streamed_trace(_: &mut Criterion) {
+    use gsf_bench::BENCH_SEED;
     use gsf_workloads::{
-        decode_chunks, write_chunks, TraceChunkReader, TraceGenerator, TraceParams,
-        DEFAULT_CHUNK_EVENTS,
+        decode_chunks, TraceChunkReader, TraceGenerator, TraceParams, DEFAULT_CHUNK_EVENTS,
     };
     use std::io::{BufReader, BufWriter, Write as _};
     use std::time::Instant;
@@ -362,7 +360,10 @@ fn ablation_streamed_trace(c: &mut Criterion) {
             .unwrap_or(0)
     }
 
-    let test_mode = std::env::args().any(|a| a == "--test");
+    // A ~1M-VM run has no smoke-sized form: `--test` runs skip it.
+    if std::env::args().any(|a| a == "--test") {
+        return;
+    }
     let transform = |vm: &VmSpec| {
         if vm.full_node {
             PlacementRequest::baseline_only(vm)
@@ -371,192 +372,119 @@ fn ablation_streamed_trace(c: &mut Criterion) {
         }
     };
 
-    // --- Fleet scale (24k VMs): preparation cost, in-memory vs streamed.
-    let trace = if test_mode { bench_trace() } else { bench_trace_fleet() };
-    let mut chunked = Vec::new();
-    let digest = write_chunks(&trace, &mut chunked, DEFAULT_CHUNK_EVENTS).unwrap();
-    assert_eq!(digest, trace.content_hash(), "stream digest must equal the content hash");
+    // ~1M VMs over two weeks: end-to-end replay, streamed first.
+    let generator = TraceGenerator::new(TraceParams {
+        duration_hours: 14.0 * 24.0,
+        arrivals_per_hour: 3000.0,
+        size_classes: vec![(8, 0.4), (16, 0.3), (32, 0.2), (64, 0.1)],
+        mem_per_core_classes: vec![(4.0, 0.6), (8.0, 0.4)],
+        ..TraceParams::default()
+    });
+    let path = std::env::temp_dir().join("gsf_ablation_streamed_1m.gst");
+
+    let t = Instant::now();
     {
-        let mut reader = TraceChunkReader::new(&chunked[..]).unwrap();
-        let streamed = PreparedTrace::from_chunk_stream(&mut reader, &transform).unwrap();
-        assert_eq!(
-            PreparedTrace::new(&trace, &transform),
-            streamed,
-            "streamed preparation must be bit-identical to in-memory"
+        let mut out = BufWriter::new(std::fs::File::create(&path).unwrap());
+        generator
+            .synthesize_streamed(&SeedFactory::new(BENCH_SEED), 9, &mut out, DEFAULT_CHUNK_EVENTS)
+            .unwrap();
+        out.flush().unwrap();
+    }
+    let synthesize = t.elapsed();
+    let file_bytes = std::fs::metadata(&path).unwrap().len();
+    let rss_after_synth_kb = peak_rss_kb();
+
+    // Streamed phase: file → chunk reader → builder → replay. The
+    // cluster is sized once here, from the prepared peak demand
+    // with headroom, and shared by both phases so the ablation
+    // isolates the data path, not sizing.
+    let t = Instant::now();
+    let (streamed_outcome, streamed_digest, vms, events, config) = {
+        let file = BufReader::new(std::fs::File::open(&path).unwrap());
+        let mut reader = TraceChunkReader::new(file).unwrap();
+        let [prepared] = PreparedTrace::from_chunk_stream(&mut reader, [&transform]).unwrap();
+        let digest = reader.content_hash().expect("chunked stream must end with a footer");
+        let (peak_cores, peak_mem_gb) = prepared.peak_demand();
+        let baseline_shape = ServerShape::baseline_gen3();
+        let green_shape = ServerShape::greensku();
+        let servers = |shape: ServerShape, share: f64| -> u32 {
+            let by_cores = (peak_cores as f64 * share / f64::from(shape.cores)).ceil();
+            let by_mem = (peak_mem_gb * share / shape.mem_gb).ceil();
+            by_cores.max(by_mem) as u32 + 2
+        };
+        let config = ClusterConfig {
+            baseline_count: servers(baseline_shape, 0.5),
+            baseline_shape,
+            green_count: servers(green_shape, 1.0),
+            green_shape,
+        };
+        let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
+        let outcome = black_box(sim.replay_prepared_faulted(&prepared, &FaultPlan::empty()));
+        (outcome, digest, prepared.vm_count(), prepared.event_count(), config)
+    };
+    let streamed_replay = t.elapsed();
+    let rss_streamed_kb = peak_rss_kb();
+
+    // Materialized phase: decode the whole file into a Trace, then
+    // the standard in-memory prepare + replay of the same cluster.
+    let t = Instant::now();
+    let (materialized_outcome, materialized_hash) = {
+        let file = BufReader::new(std::fs::File::open(&path).unwrap());
+        let trace_1m = decode_chunks(file).unwrap();
+        let hash = trace_1m.content_hash();
+        let prepared = PreparedTrace::new(&trace_1m, &transform);
+        let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
+        (black_box(sim.replay_prepared_faulted(&prepared, &FaultPlan::empty())), hash)
+    };
+    let materialized_replay = t.elapsed();
+    let rss_materialized_kb = peak_rss_kb();
+    std::fs::remove_file(&path).ok();
+
+    assert!(vms > 900_000, "scale fixture drifted: {vms} VMs");
+    assert_eq!(streamed_digest, materialized_hash, "digest drift between phases");
+    assert_eq!(
+        streamed_outcome, materialized_outcome,
+        "streamed end-to-end replay must be bit-identical to materialized"
+    );
+    if rss_streamed_kb > 0 {
+        assert!(
+            rss_streamed_kb < rss_materialized_kb,
+            "streamed peak RSS {rss_streamed_kb} kB not below materialized {rss_materialized_kb} kB"
         );
     }
-
-    let reps: u32 = if test_mode { 1 } else { 5 };
-    let prepare_in_memory = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(PreparedTrace::new(&trace, &transform));
-            t.elapsed()
-        })
-        .min()
-        .unwrap();
-    let prepare_streamed = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            let mut reader = TraceChunkReader::new(&chunked[..]).unwrap();
-            black_box(PreparedTrace::from_chunk_stream(&mut reader, &transform).unwrap());
-            t.elapsed()
-        })
-        .min()
-        .unwrap();
-    let decode_then_prepare = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            let decoded = decode_chunks(&chunked[..]).unwrap();
-            black_box(PreparedTrace::new(&decoded, &transform));
-            t.elapsed()
-        })
-        .min()
-        .unwrap();
     println!(
-        "[ablation] fleet prepare ({} VMs): in-memory {:.1} ms, streamed {:.1} ms, decode-then-prepare {:.1} ms",
-        trace.vms().len(),
-        prepare_in_memory.as_secs_f64() * 1e3,
-        prepare_streamed.as_secs_f64() * 1e3,
-        decode_then_prepare.as_secs_f64() * 1e3,
+        "[ablation] 1M-scale ({vms} VMs, {events} events, {:.1} MB file, {} servers): \
+         synth {:.1} s, streamed replay {:.1} s, materialized {:.1} s",
+        file_bytes as f64 / 1e6,
+        config.baseline_count + config.green_count,
+        synthesize.as_secs_f64(),
+        streamed_replay.as_secs_f64(),
+        materialized_replay.as_secs_f64(),
+    );
+    println!(
+        "[ablation] peak RSS: after synth {:.0} MB, streamed {:.0} MB, materialized {:.0} MB \
+         (streamed saves {:.0} MB)",
+        rss_after_synth_kb as f64 / 1e3,
+        rss_streamed_kb as f64 / 1e3,
+        rss_materialized_kb as f64 / 1e3,
+        (rss_materialized_kb - rss_streamed_kb) as f64 / 1e3,
     );
 
-    // --- ~1M VMs over two weeks: end-to-end replay, streamed first.
-    if !test_mode {
-        let generator = TraceGenerator::new(TraceParams {
-            duration_hours: 14.0 * 24.0,
-            arrivals_per_hour: 3000.0,
-            size_classes: vec![(8, 0.4), (16, 0.3), (32, 0.2), (64, 0.1)],
-            mem_per_core_classes: vec![(4.0, 0.6), (8.0, 0.4)],
-            ..TraceParams::default()
-        });
-        let path = std::env::temp_dir().join("gsf_ablation_streamed_1m.gst");
-
-        let t = Instant::now();
-        {
-            let mut out = BufWriter::new(std::fs::File::create(&path).unwrap());
-            generator
-                .synthesize_streamed(
-                    &SeedFactory::new(BENCH_SEED),
-                    9,
-                    &mut out,
-                    DEFAULT_CHUNK_EVENTS,
-                )
-                .unwrap();
-            out.flush().unwrap();
-        }
-        let synthesize = t.elapsed();
-        let file_bytes = std::fs::metadata(&path).unwrap().len();
-        let rss_after_synth_kb = peak_rss_kb();
-
-        // Streamed phase: file → chunk reader → builder → replay. The
-        // cluster is sized once here, from the prepared peak demand
-        // with headroom, and shared by both phases so the ablation
-        // isolates the data path, not sizing.
-        let t = Instant::now();
-        let (streamed_outcome, streamed_digest, vms, events, config) = {
-            let file = BufReader::new(std::fs::File::open(&path).unwrap());
-            let mut reader = TraceChunkReader::new(file).unwrap();
-            let prepared = PreparedTrace::from_chunk_stream(&mut reader, &transform).unwrap();
-            let digest = reader.content_hash().expect("chunked stream must end with a footer");
-            let (peak_cores, peak_mem_gb) = prepared.peak_demand();
-            let baseline_shape = ServerShape::baseline_gen3();
-            let green_shape = ServerShape::greensku();
-            let servers = |shape: ServerShape, share: f64| -> u32 {
-                let by_cores = (peak_cores as f64 * share / f64::from(shape.cores)).ceil();
-                let by_mem = (peak_mem_gb * share / shape.mem_gb).ceil();
-                by_cores.max(by_mem) as u32 + 2
-            };
-            let config = ClusterConfig {
-                baseline_count: servers(baseline_shape, 0.5),
-                baseline_shape,
-                green_count: servers(green_shape, 1.0),
-                green_shape,
-            };
-            let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
-            let outcome = black_box(sim.replay_prepared_faulted(&prepared, &FaultPlan::empty()));
-            (outcome, digest, prepared.vm_count(), prepared.event_count(), config)
-        };
-        let streamed_replay = t.elapsed();
-        let rss_streamed_kb = peak_rss_kb();
-
-        // Materialized phase: decode the whole file into a Trace, then
-        // the standard in-memory prepare + replay of the same cluster.
-        let t = Instant::now();
-        let (materialized_outcome, materialized_hash) = {
-            let file = BufReader::new(std::fs::File::open(&path).unwrap());
-            let trace_1m = decode_chunks(file).unwrap();
-            let hash = trace_1m.content_hash();
-            let prepared = PreparedTrace::new(&trace_1m, &transform);
-            let mut sim = AllocationSim::new(config, PlacementPolicy::BestFit);
-            (black_box(sim.replay_prepared_faulted(&prepared, &FaultPlan::empty())), hash)
-        };
-        let materialized_replay = t.elapsed();
-        let rss_materialized_kb = peak_rss_kb();
-        std::fs::remove_file(&path).ok();
-
-        assert!(vms > 900_000, "scale fixture drifted: {vms} VMs");
-        assert_eq!(streamed_digest, materialized_hash, "digest drift between phases");
-        assert_eq!(
-            streamed_outcome, materialized_outcome,
-            "streamed end-to-end replay must be bit-identical to materialized"
-        );
-        if rss_streamed_kb > 0 {
-            assert!(
-                rss_streamed_kb < rss_materialized_kb,
-                "streamed peak RSS {rss_streamed_kb} kB not below materialized {rss_materialized_kb} kB"
-            );
-        }
-        println!(
-            "[ablation] 1M-scale ({vms} VMs, {events} events, {:.1} MB file, {} servers): \
-             synth {:.1} s, streamed replay {:.1} s, materialized {:.1} s",
-            file_bytes as f64 / 1e6,
-            config.baseline_count + config.green_count,
-            synthesize.as_secs_f64(),
-            streamed_replay.as_secs_f64(),
-            materialized_replay.as_secs_f64(),
-        );
-        println!(
-            "[ablation] peak RSS: after synth {:.0} MB, streamed {:.0} MB, materialized {:.0} MB \
-             (streamed saves {:.0} MB)",
-            rss_after_synth_kb as f64 / 1e3,
-            rss_streamed_kb as f64 / 1e3,
-            rss_materialized_kb as f64 / 1e3,
-            (rss_materialized_kb - rss_streamed_kb) as f64 / 1e3,
-        );
-
-        let json = format!(
-            "{{\n  \"bench\": \"ablation_streamed_trace\",\n  \"fleet\": {{\n    \"vms\": {},\n    \"ns_per_iter\": {{\n      \"prepare_in_memory\": {:.0},\n      \"prepare_streamed\": {:.0},\n      \"decode_then_prepare\": {:.0}\n    }}\n  }},\n  \"million\": {{\n    \"vms\": {},\n    \"events\": {},\n    \"file_bytes\": {},\n    \"servers\": {},\n    \"ms\": {{\n      \"synthesize\": {:.0},\n      \"streamed_replay\": {:.0},\n      \"materialized_replay\": {:.0}\n    }},\n    \"peak_rss_kb\": {{\n      \"after_synthesize\": {},\n      \"after_streamed\": {},\n      \"after_materialized\": {}\n    }},\n    \"streamed_peak_below_materialized\": {}\n  }}\n}}\n",
-            trace.vms().len(),
-            prepare_in_memory.as_secs_f64() * 1e9,
-            prepare_streamed.as_secs_f64() * 1e9,
-            decode_then_prepare.as_secs_f64() * 1e9,
-            vms,
-            events,
-            file_bytes,
-            config.baseline_count + config.green_count,
-            synthesize.as_secs_f64() * 1e3,
-            streamed_replay.as_secs_f64() * 1e3,
-            materialized_replay.as_secs_f64() * 1e3,
-            rss_after_synth_kb,
-            rss_streamed_kb,
-            rss_materialized_kb,
-            rss_streamed_kb < rss_materialized_kb,
-        );
-        print_summary(&json);
-    }
-
-    let mut group = c.benchmark_group("ablation_streamed_trace");
-    group.bench_function("prepare_in_memory", |b| {
-        b.iter(|| black_box(PreparedTrace::new(&trace, &transform)))
-    });
-    group.bench_function("prepare_streamed", |b| {
-        b.iter(|| {
-            let mut reader = TraceChunkReader::new(&chunked[..]).unwrap();
-            black_box(PreparedTrace::from_chunk_stream(&mut reader, &transform).unwrap())
-        })
-    });
-    group.finish();
+    let json = format!(
+        "{{\n  \"bench\": \"ablation_streamed_trace\",\n  \"million\": {{\n    \"vms\": {},\n    \"events\": {},\n    \"file_bytes\": {},\n    \"servers\": {},\n    \"ms\": {{\n      \"synthesize\": {:.0},\n      \"streamed_replay\": {:.0},\n      \"materialized_replay\": {:.0}\n    }},\n    \"peak_rss_kb\": {{\n      \"after_synthesize\": {},\n      \"after_streamed\": {},\n      \"after_materialized\": {}\n    }},\n    \"streamed_peak_below_materialized\": {}\n  }}\n}}\n",
+        vms,
+        events,
+        file_bytes,
+        config.baseline_count + config.green_count,
+        synthesize.as_secs_f64() * 1e3,
+        streamed_replay.as_secs_f64() * 1e3,
+        materialized_replay.as_secs_f64() * 1e3,
+        rss_after_synth_kb,
+        rss_streamed_kb,
+        rss_materialized_kb,
+        rss_streamed_kb < rss_materialized_kb,
+    );
+    print_summary(&json);
 }
 
 /// Ablation: fresh simulator per replay vs reset-reuse (what the sizing

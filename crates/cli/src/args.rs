@@ -50,10 +50,6 @@ impl std::error::Error for ArgError {}
 /// command is still an error.
 const COMMAND_GROUPS: [&str; 1] = ["trace"];
 
-/// Flags whose value is optional: a bare `--stream` (followed by
-/// another flag or nothing) reads as `--stream true`.
-const BOOLEAN_FLAGS: [&str; 1] = ["stream"];
-
 impl Args {
     /// Parses `command [subcommand] --flag value ...`.
     ///
@@ -80,11 +76,7 @@ impl Args {
         let mut flags = HashMap::new();
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
-                let value = if BOOLEAN_FLAGS.contains(&key) {
-                    iter.next_if(|a| !a.starts_with("--")).unwrap_or_else(|| "true".to_string())
-                } else {
-                    iter.next().ok_or_else(|| ArgError::MissingValue(key.into()))?
-                };
+                let value = iter.next().ok_or_else(|| ArgError::MissingValue(key.into()))?;
                 flags.insert(key.to_string(), value);
             } else {
                 return Err(ArgError::UnexpectedPositional(arg));
@@ -106,12 +98,6 @@ impl Args {
     /// String flag with a default.
     pub fn get_or<'a>(&'a self, flag: &str, default: &'a str) -> &'a str {
         self.get(flag).unwrap_or(default)
-    }
-
-    /// Boolean flag: true for `--flag`, `--flag true`, `--flag 1`, or
-    /// `--flag yes`; false when absent or given any other value.
-    pub fn get_bool(&self, flag: &str) -> bool {
-        matches!(self.get(flag), Some("true" | "1" | "yes"))
     }
 
     /// Parsed numeric flag with a default.
@@ -177,20 +163,5 @@ mod tests {
             Args::parse(["fleet", "synth"]),
             Err(ArgError::UnexpectedPositional("synth".into()))
         );
-    }
-
-    #[test]
-    fn boolean_flags_take_optional_values() {
-        let a = Args::parse(["fleet", "--stream", "--design", "full"]).unwrap();
-        assert!(a.get_bool("stream"));
-        assert_eq!(a.get("design"), Some("full"));
-        let a = Args::parse(["fleet", "--stream"]).unwrap();
-        assert!(a.get_bool("stream"));
-        let a = Args::parse(["fleet", "--stream", "false"]).unwrap();
-        assert!(!a.get_bool("stream"));
-        let a = Args::parse(["fleet"]).unwrap();
-        assert!(!a.get_bool("stream"));
-        // Non-boolean flags still require a value.
-        assert_eq!(Args::parse(["cmd", "--flag"]), Err(ArgError::MissingValue("flag".into())));
     }
 }

@@ -7,7 +7,9 @@ use gsf_carbon::units::{CarbonIntensity, Years};
 use gsf_carbon::{CarbonModel, ModelParams, ServerSpec};
 use gsf_core::report::deployment_report;
 use gsf_core::search::{evaluate_space_with, pareto_front, CandidateSpace};
-use gsf_core::{EvalContext, GreenSkuDesign, GsfError, GsfPipeline, PipelineConfig};
+use gsf_core::{
+    EvalContext, GreenSkuDesign, GsfError, GsfPipeline, PipelineConfig, PipelineOutcome,
+};
 use gsf_stats::rng::SeedFactory;
 use gsf_stats::table::{fmt_f, fmt_pct, Table};
 use gsf_workloads::{
@@ -263,7 +265,7 @@ pub fn help() -> String {
          \u{20}  faults    --design NAME [--afr-scale X] [--fip F] [--years Y] [--fault-seed S]\n\
          \u{20}            [--topology N] [--domain-rate R] [--repair-days D] [--slo M] [--format text|json]\n\
          \u{20}  fleet     --design NAME [--traces N] [--workers N] [--shards K] [--hours H] [--seed S]\n\
-         \u{20}            [--trace-file FILE [--stream]]   evaluate a trace file (chunked or legacy)\n\nSKUs: ",
+         \u{20}            [--trace-file FILE]   evaluate a trace file (chunked: streamed; legacy: in memory)\n\nSKUs: ",
     );
     out.push_str(&SKU_NAMES.join(", "));
     out.push('\n');
@@ -544,17 +546,41 @@ fn trace_inspect(args: &Args) -> Result<String, CliError> {
     ))
 }
 
+/// Evaluates `design` on a trace file, down the path its format picks:
+/// a chunked file (`trace synth`) streams through
+/// [`GsfPipeline::evaluate_streamed`] and is never materialized, so
+/// multi-week fleet traces evaluate in bounded memory; a legacy file
+/// (`gen-trace`) is decoded and evaluated in memory. The two paths are
+/// bit-identical (the `streamed_equivalence` suite). Returns the
+/// outcome, the trace's VM count, and the path taken.
+fn evaluate_file(
+    pipeline: &GsfPipeline,
+    design: &GreenSkuDesign,
+    path: &str,
+) -> Result<(PipelineOutcome, u64, &'static str), CliError> {
+    use std::io::BufRead as _;
+    let mut input = std::io::BufReader::new(std::fs::File::open(path)?);
+    if sniff_chunked(input.fill_buf()?) {
+        let mut reader = TraceChunkReader::new(input)?;
+        let o = pipeline.evaluate_streamed(design, &mut reader)?;
+        let (vms, _) = reader.totals().unwrap_or((0, 0));
+        Ok((o, vms, "streamed"))
+    } else {
+        let trace = load_trace(path)?;
+        Ok((pipeline.evaluate(design, &trace)?, trace.vms().len() as u64, "in-memory"))
+    }
+}
+
 fn replay(args: &Args) -> Result<String, CliError> {
     let path = args.get("trace").ok_or_else(|| ArgError::MissingValue("trace".into()))?.to_string();
-    let trace = load_trace(&path)?;
     let design = design_by_name(args.get_or("design", "full"))?;
     let pipeline = GsfPipeline::new(PipelineConfig::default());
-    let o = pipeline.evaluate(&design, &trace)?;
+    let (o, vms, _) = evaluate_file(&pipeline, &design, &path)?;
     Ok(format!(
         "{} on {} VMs:\n  plan: {} baseline + {} GreenSKU (buffered {} + {})\n  \
          adoption {:.1}%  cluster savings {:.1}%  DC savings {:.1}%\n",
         o.design,
-        trace.vms().len(),
+        vms,
         o.plan.baseline,
         o.plan.green,
         o.plan_buffered.baseline,
@@ -843,27 +869,13 @@ fn faults_cmd(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// `gsf fleet --trace-file FILE [--stream]`: evaluate one on-disk
-/// trace. With `--stream` the file must be chunked and is fed to
-/// [`GsfPipeline::evaluate_streamed`] — the trace is never
-/// materialized, so multi-week fleet traces evaluate in bounded
-/// memory. Without it, either format is loaded in memory first; the
-/// two paths are bit-identical (see the `streamed_equivalence` suite).
+/// `gsf fleet --trace-file FILE`: evaluate one on-disk trace, streamed
+/// or in memory as its format picks (see [`evaluate_file`]).
 fn fleet_file_cmd(args: &Args, path: &str) -> Result<String, CliError> {
     let design = design_by_name(args.get_or("design", "full"))?;
     let shards = shard_count(args)?;
     let pipeline = GsfPipeline::new(PipelineConfig { shards, ..PipelineConfig::default() });
-    let (o, vms, mode) = if args.get_bool("stream") {
-        let file = std::fs::File::open(path)?;
-        let mut reader = TraceChunkReader::new(std::io::BufReader::new(file))?;
-        let o = pipeline.evaluate_streamed(&design, &mut reader)?;
-        let (vms, _) = reader.totals().unwrap_or((0, 0));
-        (o, vms, "streamed")
-    } else {
-        let trace = load_trace(path)?;
-        let vms = trace.vms().len() as u64;
-        (pipeline.evaluate(&design, &trace)?, vms, "in-memory")
-    };
+    let (o, vms, mode) = evaluate_file(&pipeline, &design, path)?;
     Ok(format!(
         "{} on {path} ({vms} VMs, {mode}):\n  plan: {} baseline + {} GreenSKU (buffered {} + {})\n  \
          adoption {:.1}%  cluster savings {:.1}%  DC savings {:.1}%\n",
@@ -1001,21 +1013,20 @@ mod tests {
         assert!(inspect.contains("chunked trace"), "{inspect}");
         assert!(inspect.contains("verified"), "{inspect}");
 
-        // Streamed and in-memory fleet evaluation of the same file
-        // print identical numbers.
-        let base = ["fleet", "--trace-file", p, "--design", "full"];
-        let in_memory = run(&base).unwrap();
-        let mut streamed_args = base.to_vec();
-        streamed_args.push("--stream");
-        let streamed = run(&streamed_args).unwrap();
-        assert!(in_memory.contains("in-memory"), "{in_memory}");
+        // The chunked file streams, the legacy file of the same trace
+        // (same seed and window) loads in memory, and both print
+        // identical numbers.
+        let legacy =
+            std::env::temp_dir().join(format!("gsf-cli-legacy-twin-{}.bin", std::process::id()));
+        let l = legacy.to_str().unwrap();
+        run(&["gen-trace", "--out", l, "--hours", "6", "--arrivals", "30"]).unwrap();
+        let fleet = |file: &str| run(&["fleet", "--trace-file", file, "--design", "full"]);
+        let (streamed, in_memory) = (fleet(p).unwrap(), fleet(l).unwrap());
         assert!(streamed.contains("streamed"), "{streamed}");
-        let tail = |s: &str| s.split(':').skip(1).collect::<String>().replace("streamed", "");
-        assert_eq!(
-            tail(&in_memory).replace("in-memory", ""),
-            tail(&streamed),
-            "{in_memory} vs {streamed}"
-        );
+        assert!(in_memory.contains("in-memory"), "{in_memory}");
+        let numbers = |s: &str| s.split_once(":\n").unwrap().1.to_string();
+        assert_eq!(numbers(&streamed), numbers(&in_memory), "{streamed} vs {in_memory}");
+        std::fs::remove_file(legacy).ok();
 
         // The replay and characterize commands sniff the chunked
         // format too.
@@ -1034,16 +1045,6 @@ mod tests {
         // A bare `trace` is an unknown command with a hint.
         let e = run(&["trace"]).unwrap_err();
         assert!(e.to_string().contains("synth"), "{e}");
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn streamed_fleet_rejects_legacy_files() {
-        let path = std::env::temp_dir().join(format!("gsf-cli-legbin-{}.bin", std::process::id()));
-        let p = path.to_str().unwrap();
-        run(&["gen-trace", "--out", p, "--hours", "2", "--arrivals", "10"]).unwrap();
-        let e = run(&["fleet", "--trace-file", p, "--stream"]).unwrap_err();
-        assert!(matches!(e, CliError::Stream(_)), "{e}");
         std::fs::remove_file(path).ok();
     }
 

@@ -63,11 +63,16 @@ const POLICIES: [PlacementPolicy; 3] =
 /// `n_vms` VMs arriving over 1000 s in a 2100 s trace, a
 /// `full_node_pct` share of them full-node. A fifth stay resident to
 /// the horizon, so settlement order matters as much as departures do.
+/// Odd seeds give the VMs sparse ids (`7·i + 1000`, opaque as in
+/// production traces) and shuffle the VM list, so slot order, id order
+/// and arrival order all differ.
 fn random_trace(n_vms: usize, seed: u64, full_node_pct: f64) -> Trace {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let sparse = seed % 2 == 1;
     let mut vms = Vec::new();
     let mut events = Vec::new();
-    for id in 0..n_vms as u64 {
+    for i in 0..n_vms as u64 {
+        let id = if sparse { 7 * i + 1000 } else { i };
         let full_node = rng.gen_bool(full_node_pct);
         let cores =
             if full_node { 80 } else { *[1u32, 2, 4, 8, 16].get(rng.gen_range(0..5)).unwrap() };
@@ -90,6 +95,12 @@ fn random_trace(n_vms: usize, seed: u64, full_node_pct: f64) -> Trace {
                 kind: VmEventKind::Departure,
                 vm_id: id,
             });
+        }
+    }
+    if sparse {
+        // Fisher–Yates: the VM list in a random order.
+        for i in (1..vms.len()).rev() {
+            vms.swap(i, rng.gen_range(0..=i));
         }
     }
     Trace::new(2100.0, vms, events)

@@ -21,7 +21,7 @@ use gsf_cluster::{
 use gsf_maintenance::{FaultModel, PoolDevices};
 use gsf_vmalloc::{
     AllocationSim, AvailabilitySummary, ClusterConfig, FaultPlan, FaultSummary, PlacementPolicy,
-    PlacementRequest, PreparedTrace, PreparedTraceBuilder, ServerShape, ShardedSim, SimOutcome,
+    PlacementRequest, PreparedTrace, ServerShape, ShardedSim, SimOutcome,
 };
 use gsf_workloads::{
     catalog, ApplicationModel, FleetMix, ServerGeneration, Trace, TraceChunkReader, VmSpec,
@@ -372,7 +372,7 @@ impl GsfPipeline {
                         PreparedTrace::new(trace, &transform)
                     });
                 let prepared_baseline = self.ctx.prepared_by_hash(trace_hash, &[], || {
-                    PreparedTrace::new(trace, &|vm: &VmSpec| PlacementRequest::baseline_only(vm))
+                    PreparedTrace::new(trace, &PlacementRequest::baseline_only)
                 });
                 self.size_and_replay(&setup, &prepared, &prepared_baseline, trace.duration_s())
             },
@@ -420,28 +420,17 @@ impl GsfPipeline {
     ) -> Result<PipelineOutcome, GsfError> {
         let setup = self.setup(design, ci)?;
         let duration_s = reader.duration_s();
-        // One pass, two plans: the routed and baseline-only builders
-        // consume each verified chunk in lockstep, so the stream is
-        // read exactly once and never retained.
+        // One pass, two plans: each verified chunk feeds the routed and
+        // the baseline-only builder, so the stream is read exactly once
+        // and never retained.
         let routed_transform = |vm: &VmSpec| setup.router.request(vm);
-        let baseline_transform = |vm: &VmSpec| PlacementRequest::baseline_only(vm);
-        let mut routed = PreparedTraceBuilder::new(duration_s, &routed_transform);
-        let mut baseline = PreparedTraceBuilder::new(duration_s, &baseline_transform);
-        while let Some(chunk) = reader.next_chunk()? {
-            for vm in &chunk.vms {
-                routed.push_vm(vm);
-                baseline.push_vm(vm);
-            }
-            for e in &chunk.events {
-                routed.push_event(e.time_s, e.kind, e.slot);
-                baseline.push_event(e.time_s, e.kind, e.slot);
-            }
-        }
+        let [routed, baseline] = PreparedTrace::from_chunk_stream(
+            reader,
+            [&routed_transform, &PlacementRequest::baseline_only],
+        )?;
         let trace_hash = reader.content_hash().ok_or_else(|| {
             GsfError::InvalidConfig("chunked trace stream ended without a footer".into())
         })?;
-        let routed = routed.finish();
-        let baseline = baseline.finish();
         // Seed the prepared cache under the same keys the in-memory
         // path uses; if another evaluation already built these plans,
         // the freshly streamed copies are dropped in favor of the

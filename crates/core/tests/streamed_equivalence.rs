@@ -5,8 +5,12 @@
 //! two paths must share cache entries (the verified stream digest is
 //! pinned equal to [`Trace::content_hash`]).
 //!
-//! The streamed path never materializes the trace, so nothing forces
-//! these to agree by construction; the suite is the contract.
+//! Both paths build their prepared plans through one
+//! `PreparedTraceBuilder`, so prepare agreement holds by construction.
+//! The suite pins the rest: the chunk codec (encoding, decoding and the
+//! digest identity) and the streamed pipeline around the builder (the
+//! one-pass, two-plan `PreparedTrace::from_chunk_stream` call, the
+//! header's duration seeding fault plans, and the shared cache keys).
 
 use gsf_carbon::units::CarbonIntensity;
 use gsf_core::design::GreenSkuDesign;

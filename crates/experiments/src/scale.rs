@@ -3,8 +3,10 @@
 //! Evaluates the same synthetic trace through the materialized
 //! [`Trace`] path and the chunked stream path at increasing scale,
 //! asserting bit-identity at every point and recording the chunked
-//! artifact size alongside the savings headline. The timing and peak-
-//! RSS side of the same comparison lives in the
+//! artifact size alongside the savings headline. Both paths prepare
+//! their plans through one builder, so the identity checked here is the
+//! chunk codec's and the streamed pipeline's. The timing and peak-RSS
+//! side of the same comparison is the ~1M-VM phase of the
 //! `ablation_streamed_trace` bench (`results/BENCH_pr8.json`);
 //! experiments stay wall-clock-free so their artifacts are a pure
 //! function of the seed.

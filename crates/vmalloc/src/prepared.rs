@@ -5,11 +5,14 @@
 //! each event's VM (a by-id lookup) and recomputing its
 //! [`PlacementRequest`] on every probe would repeat work that depends on
 //! neither. A [`PreparedTrace`] does that work once: every event carries
-//! its VM's dense slot, every VM carries its precomputed request,
-//! arrivals are paired with departures (via
-//! [`gsf_workloads::Trace::index`]) so dwell times are known up front,
-//! and the peak concurrent demand that seeds the sizing bounds is
+//! its VM's dense slot, every VM carries its precomputed request, and
+//! the peak concurrent demand that seeds the sizing bounds is
 //! precomputed.
+//!
+//! One [`PreparedTraceBuilder`] makes every prepared trace:
+//! [`PreparedTrace::new`] feeds it a materialized [`Trace`] and
+//! [`PreparedTrace::from_chunk_stream`] a chunked stream, so the two
+//! agree by construction.
 //!
 //! [`crate::AllocationSim::replay_prepared_faulted`] replays a prepared
 //! trace. The differential harness in `gsf-cluster` (a `ci.sh` gate)
@@ -19,7 +22,6 @@
 
 use crate::simulator::{PlacementRequest, VmTransform};
 use gsf_workloads::{Trace, TraceChunkReader, TraceStreamError, VmEventKind, VmSpec};
-use std::collections::{BTreeMap, VecDeque};
 use std::io::BufRead;
 
 /// One trace event with its VM resolved to a dense slot.
@@ -31,9 +33,6 @@ pub(crate) struct PreparedEvent {
     pub kind: VmEventKind,
     /// Index into [`PreparedTrace::vms`].
     pub slot: u32,
-    /// End of the residency this event opens (arrivals: the paired
-    /// departure time, or the horizon; departures: their own time).
-    pub end_time_s: f64,
 }
 
 /// One VM with its placement request resolved once.
@@ -71,47 +70,36 @@ pub struct PreparedTrace {
 }
 
 impl PreparedTrace {
-    /// Resolves `trace` against `transform` once.
+    /// Resolves `trace` against `transform` once: its VMs in slot
+    /// order, then its events with the slots [`Trace::event_slots`]
+    /// resolves, through one [`PreparedTraceBuilder`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event references a VM id missing from the trace's
+    /// VM table (generated and decoded traces are always
+    /// self-consistent).
     pub fn new(trace: &Trace, transform: &VmTransform<'_>) -> Self {
-        let index = trace.index();
-        let vms: Vec<PreparedVm> = trace
-            .vms()
-            .iter()
-            .map(|vm| PreparedVm {
-                id: vm.id,
-                app_index: vm.app_index,
-                max_mem_util: vm.max_mem_util,
-                request: transform(vm),
-            })
-            .collect();
-        let events: Vec<PreparedEvent> = trace
-            .events()
-            .iter()
-            .enumerate()
-            .map(|(i, e)| PreparedEvent {
-                time_s: e.time_s,
-                kind: e.kind,
-                slot: index.vm_slot(i),
-                end_time_s: index.end_time_s(i),
-            })
-            .collect();
-        let mut slots_by_id: Vec<u32> = (0..vms.len() as u32).collect();
-        slots_by_id.sort_unstable_by_key(|&s| vms[s as usize].id);
-        Self {
-            duration_s: trace.duration_s(),
-            events,
-            vms,
-            slots_by_id,
-            peak_demand: trace.peak_demand(),
+        let (vms, events) = (trace.vms().len(), trace.events().len());
+        let mut builder =
+            PreparedTraceBuilder::with_capacity(trace.duration_s(), transform, vms, events);
+        for vm in trace.vms() {
+            builder.push_vm(vm);
         }
+        for (e, slot) in trace.events().iter().zip(trace.event_slots()) {
+            builder.push_event(e.time_s, e.kind, slot);
+        }
+        builder.finish()
     }
 
-    /// Builds a prepared trace by draining a chunked stream, without
-    /// ever materializing a [`Trace`]. Bit-identical to
-    /// `PreparedTrace::new(&decode_chunks(stream)?, transform)` — the
-    /// stream's replay-order contract makes the in-memory path's
-    /// re-sort a no-op, and the builder replicates its pairing and
-    /// peak-demand arithmetic event-for-event.
+    /// Builds one prepared trace per transform in a single pass over a
+    /// chunked stream, without ever materializing a [`Trace`]: every
+    /// verified chunk feeds one builder per transform, so the stream
+    /// is read once and never retained. Each result equals
+    /// `PreparedTrace::new(&decode_chunks(stream)?, transform)`, since
+    /// both feed a builder the same VMs and events in the same order
+    /// (the stream's replay-order contract makes the decoder's re-sort
+    /// a no-op).
     ///
     /// The reader is left positioned after the footer, so the caller
     /// can take the verified
@@ -121,20 +109,23 @@ impl PreparedTrace {
     /// # Errors
     ///
     /// Propagates stream I/O and codec errors.
-    pub fn from_chunk_stream<R: BufRead>(
+    pub fn from_chunk_stream<R: BufRead, const N: usize>(
         reader: &mut TraceChunkReader<R>,
-        transform: &VmTransform<'_>,
-    ) -> Result<Self, TraceStreamError> {
-        let mut builder = PreparedTraceBuilder::new(reader.duration_s(), transform);
+        transforms: [&VmTransform<'_>; N],
+    ) -> Result<[Self; N], TraceStreamError> {
+        let duration_s = reader.duration_s();
+        let mut builders = transforms.map(|t| PreparedTraceBuilder::new(duration_s, t));
         while let Some(chunk) = reader.next_chunk()? {
-            for vm in &chunk.vms {
-                builder.push_vm(vm);
-            }
-            for e in &chunk.events {
-                builder.push_event(e.time_s, e.kind, e.slot);
+            for builder in &mut builders {
+                for vm in &chunk.vms {
+                    builder.push_vm(vm);
+                }
+                for e in &chunk.events {
+                    builder.push_event(e.time_s, e.kind, e.slot);
+                }
             }
         }
-        Ok(builder.finish())
+        Ok(builders.map(PreparedTraceBuilder::finish))
     }
 
     /// Trace horizon in seconds.
@@ -159,13 +150,6 @@ impl PreparedTrace {
         self.peak_demand
     }
 
-    /// End of the residency event `event_idx` belongs to: for an
-    /// arrival, the paired departure time (or the horizon if the VM
-    /// never departs); for a departure, its own time.
-    pub fn event_end_time_s(&self, event_idx: usize) -> f64 {
-        self.events[event_idx].end_time_s
-    }
-
     pub(crate) fn events(&self) -> &[PreparedEvent] {
         &self.events
     }
@@ -188,21 +172,19 @@ impl PreparedTrace {
     }
 }
 
-/// Incremental [`PreparedTrace`] construction for chunked streams.
+/// Incremental [`PreparedTrace`] construction, the one way a prepared
+/// trace is made (see [`PreparedTrace::new`] and
+/// [`PreparedTrace::from_chunk_stream`]).
 ///
 /// Push VMs (in slot order) and events (in replay order) as they
-/// arrive; the builder applies the transform, pairs arrivals with
-/// departures, and accumulates peak demand on the fly. Auxiliary state
-/// beyond the prepared columns themselves is O(peak concurrent VMs)
-/// (the open-residency map) plus 12 bytes per VM (the shape table the
-/// peak-demand walk reads) — no intermediate [`Trace`], id map, or
+/// arrive; the builder applies the transform and accumulates peak
+/// demand on the fly. Auxiliary state beyond the prepared columns
+/// themselves is one (cores, memory) pair per VM, the shape table the
+/// peak-demand walk reads — no intermediate [`Trace`], id map, or
 /// sort buffer is ever materialized.
 ///
-/// The arithmetic is ordered exactly as [`Trace::peak_demand`] and
-/// [`Trace::index`] order it, so the result is bit-identical to
-/// [`PreparedTrace::new`] on the materialized equivalent (pinned by
-/// this module's tests and the `streamed_equivalence` suite in
-/// `gsf-core`).
+/// The peak-demand arithmetic is ordered exactly as
+/// [`Trace::peak_demand`] orders it, so the two agree bit for bit.
 pub struct PreparedTraceBuilder<'t> {
     duration_s: f64,
     transform: &'t VmTransform<'t>,
@@ -211,10 +193,6 @@ pub struct PreparedTraceBuilder<'t> {
     /// Per-slot (cores, mem_gb): the only VmSpec fields the
     /// peak-demand walk needs after the request is resolved.
     shapes: Vec<(u32, f64)>,
-    /// Slot → indices of its open (unpaired) arrival events. Entries
-    /// are removed as soon as they empty, keeping the map at the
-    /// trace's concurrency, not its VM count.
-    open: BTreeMap<u32, VecDeque<usize>>,
     cores: i64,
     mem: f64,
     peak_cores: i64,
@@ -224,13 +202,24 @@ pub struct PreparedTraceBuilder<'t> {
 impl<'t> PreparedTraceBuilder<'t> {
     /// Starts a builder for a trace with horizon `duration_s`.
     pub fn new(duration_s: f64, transform: &'t VmTransform<'t>) -> Self {
+        Self::with_capacity(duration_s, transform, 0, 0)
+    }
+
+    /// A builder with room for `vms` VMs and `events` events, so that
+    /// a caller who knows the counts allocates every column once, at
+    /// its final size, instead of regrowing it on each doubling.
+    fn with_capacity(
+        duration_s: f64,
+        transform: &'t VmTransform<'t>,
+        vms: usize,
+        events: usize,
+    ) -> Self {
         Self {
             duration_s,
             transform,
-            events: Vec::new(),
-            vms: Vec::new(),
-            shapes: Vec::new(),
-            open: BTreeMap::new(),
+            events: Vec::with_capacity(events),
+            vms: Vec::with_capacity(vms),
+            shapes: Vec::with_capacity(vms),
             cores: 0,
             mem: 0.0,
             peak_cores: 0,
@@ -255,32 +244,12 @@ impl<'t> PreparedTraceBuilder<'t> {
     ///
     /// # Panics
     ///
-    /// Panics if `slot` has not been pushed (the same contract as
-    /// [`PreparedTrace::new`], whose index resolution expects known
-    /// VMs; the chunked decoder validates slots before they get here).
+    /// Panics if `slot` has not been pushed ([`PreparedTrace::new`]
+    /// pushes every VM first; the chunked decoder validates slots
+    /// before they get here).
     pub fn push_event(&mut self, time_s: f64, kind: VmEventKind, slot: u32) {
         let (vm_cores, vm_mem) = self.shapes[slot as usize];
-        let end_time_s = match kind {
-            VmEventKind::Arrival => {
-                self.open.entry(slot).or_default().push_back(self.events.len());
-                self.duration_s
-            }
-            VmEventKind::Departure => {
-                // FIFO pairing, exactly as `Trace::index`: the earliest
-                // open arrival of this VM ends now; a departure with no
-                // open arrival pairs with nothing.
-                if let Some(queue) = self.open.get_mut(&slot) {
-                    if let Some(arrival_idx) = queue.pop_front() {
-                        self.events[arrival_idx].end_time_s = time_s;
-                    }
-                    if queue.is_empty() {
-                        self.open.remove(&slot);
-                    }
-                }
-                time_s
-            }
-        };
-        self.events.push(PreparedEvent { time_s, kind, slot, end_time_s });
+        self.events.push(PreparedEvent { time_s, kind, slot });
         // Peak-demand walk in the same operation order as
         // `Trace::peak_demand`, for a bit-equal (f64) result.
         match kind {
@@ -318,7 +287,6 @@ impl std::fmt::Debug for PreparedTraceBuilder<'_> {
             .field("duration_s", &self.duration_s)
             .field("vms", &self.vms.len())
             .field("events", &self.events.len())
-            .field("open_residencies", &self.open.len())
             .finish_non_exhaustive()
     }
 }
@@ -356,82 +324,37 @@ mod tests {
     }
 
     #[test]
-    fn prepares_slots_requests_and_pairing() {
+    fn prepares_slots_requests_and_peak_demand() {
         let t = sample();
         let p = PreparedTrace::new(&t, &|v: &VmSpec| PlacementRequest::prefer_green(v, 1.25));
         assert_eq!(p.event_count(), 4);
         assert_eq!(p.vm_count(), 3);
         assert_eq!(p.duration_s(), 1000.0);
-        // Event 0 refers to VM id 5, stored at slot 0.
-        assert_eq!(p.events()[0].slot, 0);
+        // Sparse ids out of order: events resolve to the list slots.
+        let slots: Vec<u32> = p.events().iter().map(|e| e.slot).collect();
+        assert_eq!(slots, vec![0, 1, 0, 2]);
         assert_eq!(p.vm(p.events()[0].slot).id, 5);
         // Requests precomputed through the transform.
         assert_eq!(p.vm(0).request, PlacementRequest::prefer_green(&vm(5, 4), 1.25));
-        // Pairing: VM 5 arrives at 10, departs at 30; VM 2 runs to the
-        // horizon.
-        assert_eq!(p.events()[0].end_time_s, 30.0);
-        assert_eq!(p.events()[1].end_time_s, 1000.0);
         // Peak demand matches the trace's own computation bit-for-bit.
         assert_eq!(p.peak_demand(), t.peak_demand());
     }
 
-    /// Feeds a materialized trace through the builder the way a chunk
-    /// stream would (VMs in slot order interleaved before first use,
-    /// events in replay order).
-    fn build_incrementally(t: &Trace, transform: &VmTransform<'_>) -> PreparedTrace {
-        let index = t.index();
-        let mut b = PreparedTraceBuilder::new(t.duration_s(), transform);
-        let mut next_vm = 0usize;
-        for (i, e) in t.events().iter().enumerate() {
-            let slot = index.vm_slot(i);
-            while next_vm <= slot as usize {
-                b.push_vm(&t.vms()[next_vm]);
-                next_vm += 1;
-            }
-            b.push_event(e.time_s, e.kind, slot);
-        }
-        for vm in &t.vms()[next_vm..] {
-            b.push_vm(vm);
-        }
-        b.finish()
-    }
-
     #[test]
-    fn builder_is_bit_identical_to_batch_preparation() {
-        let transform: &VmTransform<'_> = &|v: &VmSpec| PlacementRequest::prefer_green(v, 1.25);
-        // Sparse permuted ids, a VM running to the horizon, FIFO
-        // re-arrival pairing, equal-time departure-then-arrival, and a
-        // zero-lifetime residency.
-        let tricky = Trace::new(
-            500.0,
-            vec![vm(5, 4), vm(2, 8), vm(9, 2)],
-            vec![
-                VmEvent { time_s: 10.0, kind: VmEventKind::Arrival, vm_id: 5 },
-                VmEvent { time_s: 20.0, kind: VmEventKind::Arrival, vm_id: 2 },
-                VmEvent { time_s: 20.0, kind: VmEventKind::Departure, vm_id: 5 },
-                VmEvent { time_s: 20.0, kind: VmEventKind::Arrival, vm_id: 5 },
-                VmEvent { time_s: 40.0, kind: VmEventKind::Arrival, vm_id: 9 },
-                VmEvent { time_s: 40.0, kind: VmEventKind::Departure, vm_id: 9 },
-                VmEvent { time_s: 60.0, kind: VmEventKind::Departure, vm_id: 5 },
-            ],
-        );
-        for t in [sample(), tricky] {
-            let batch = PreparedTrace::new(&t, transform);
-            let streamed = build_incrementally(&t, transform);
-            assert_eq!(batch, streamed);
-        }
-    }
-
-    #[test]
-    fn from_chunk_stream_matches_batch_preparation() {
+    fn from_chunk_stream_prepares_every_plan_like_new() {
         let t = sample();
-        let transform: &VmTransform<'_> = &|v: &VmSpec| PlacementRequest::prefer_green(v, 1.25);
+        let routed: &VmTransform<'_> = &|v: &VmSpec| PlacementRequest::prefer_green(v, 1.25);
         for chunk_events in [1usize, 3, 1024] {
             let mut buf = Vec::new();
             gsf_workloads::write_chunks(&t, &mut buf, chunk_events).unwrap();
             let mut reader = gsf_workloads::TraceChunkReader::new(&buf[..]).unwrap();
-            let streamed = PreparedTrace::from_chunk_stream(&mut reader, transform).unwrap();
-            assert_eq!(streamed, PreparedTrace::new(&t, transform));
+            let [streamed, baseline] = PreparedTrace::from_chunk_stream(
+                &mut reader,
+                [routed, &PlacementRequest::baseline_only],
+            )
+            .unwrap();
+            assert_eq!(streamed, PreparedTrace::new(&t, routed));
+            assert_eq!(baseline, PreparedTrace::new(&t, &PlacementRequest::baseline_only));
             // The reader has consumed the footer: hash available and
             // equal to the in-memory key.
             assert_eq!(reader.content_hash(), Some(t.content_hash()));

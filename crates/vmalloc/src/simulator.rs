@@ -900,18 +900,22 @@ mod tests {
     #[test]
     fn horizon_settlement_is_ascending_id_bitwise() {
         // Dwell magnitudes chosen so the per-app accumulation order is
-        // observable in the low bits: settling 1e16 first absorbs the
-        // two 1.0s ((1e16 + 1) + 1 == 1e16), settling it last does not
-        // ((1 + 1) + 1e16 == 1e16 + 2). The replay must settle in
-        // ascending VM-id order, bit-for-bit.
-        let d = 1e16;
-        let vms: Vec<VmSpec> = (0..3).map(|i| vm(i, 1, 4.0, false)).collect();
+        // observable in the low bits: settling 2^53 first absorbs the
+        // two 1.0s ((2^53 + 1) + 1 == 2^53, ties to even), settling it
+        // last does not ((1 + 1) + 2^53 == 2^53 + 2). The horizon is
+        // 2^53, not more, so the late arrivals at `d - 1` are exact and
+        // really dwell 1 s. The replay must settle in ascending VM-id
+        // order, bit-for-bit; the VM list is out of id order, so
+        // settling in slot (list) order fails too.
+        let d = 2f64.powi(53);
+        let vms: Vec<VmSpec> = [1, 2, 0].map(|i| vm(i, 1, 4.0, false)).to_vec();
         let events = vec![arrive(0, 0.0), arrive(1, d - 1.0), arrive(2, d - 1.0)];
         let t = Trace::new(d, vms, events);
+        assert_eq!(d - (d - 1.0), 1.0);
         let expected = (((d - 0.0) + 1.0) + 1.0) / 3600.0;
         assert_ne!(expected.to_bits(), (((1.0 + 1.0) + d) / 3600.0).to_bits());
         // Snapshot interval = horizon, or the drain loop would walk
-        // ~3e12 hourly snapshots across the 1e16 s trace.
+        // ~2.5e12 hourly snapshots across the 2^53 s trace.
         let mut sim = AllocationSim::new(ClusterConfig::baseline_only(1), PlacementPolicy::BestFit)
             .with_snapshot_interval(d);
         let out = sim.prepare_and_replay(&t, &baseline_transform);

@@ -10,7 +10,7 @@
 //! header   := MAGIC:u32 "GSTC" | VERSION:u16 | duration_s:f64
 //! block    := CHUNK_TAG:u8 chunk | FOOTER_TAG:u8 footer
 //! chunk    := n_vms:u32 | n_events:u32 | running_hash:(u64,u64)
-//!             | vm_record × n_vms          (row-major, 48 B each,
+//!             | vm_record × n_vms          (row-major, 40 B each,
 //!                                           same layout as legacy)
 //!             | time_s:f64 × n_events      (columnar event block)
 //!             | kind:u8    × n_events
@@ -416,7 +416,13 @@ impl<R: BufRead> TraceChunkReader<R> {
                 3 => ServerGeneration::Gen3,
                 d => return Err(TraceCodecError::BadDiscriminant(d).into()),
             };
-            let full_node = read_u8(&mut self.input)? != 0;
+            // Only 0 and 1 are booleans: any other byte would decode
+            // as `true` and hash like it, hiding a corrupted record.
+            let full_node = match read_u8(&mut self.input)? {
+                0 => false,
+                1 => true,
+                d => return Err(TraceCodecError::BadDiscriminant(d).into()),
+            };
             let max_mem_util = f64::from_bits(read_u64(&mut self.input)?);
             let avg_cpu_util = f64::from_bits(read_u64(&mut self.input)?);
             let vm = VmSpec {
@@ -550,10 +556,8 @@ pub fn write_chunks<W: Write>(
     chunk_events: usize,
 ) -> Result<(u64, u64), TraceStreamError> {
     let mut w = TraceChunkWriter::new(out, trace.duration_s(), chunk_events)?;
-    let index = trace.index();
     let mut next_vm = 0usize;
-    for (i, e) in trace.events().iter().enumerate() {
-        let slot = index.vm_slot(i);
+    for (e, slot) in trace.events().iter().zip(trace.event_slots()) {
         while next_vm <= slot as usize {
             w.push_vm(&trace.vms()[next_vm])?;
             next_vm += 1;

@@ -38,6 +38,6 @@ pub use chunks::{
 pub use class::AppClass;
 pub use fleet::FleetMix;
 pub use sensitivity::HardwareSensitivity;
-pub use trace::{Trace, TraceCodecError, TraceHasher, TraceIndex};
+pub use trace::{Trace, TraceCodecError, TraceHasher};
 pub use tracegen::{TraceGenerator, TraceParams};
 pub use vm::{ServerGeneration, VmEvent, VmEventKind, VmSpec};

@@ -148,46 +148,32 @@ impl Trace {
         &self.events
     }
 
-    /// Precomputes the per-event resolution of this trace: each event's
-    /// VM resolved to its index in [`Self::vms`] once, and every arrival
-    /// paired with its departure so dwell times are known up front.
-    ///
-    /// Replay engines that walk the trace many times (the sizing binary
-    /// searches probe dozens of cluster candidates against one trace)
-    /// build this once instead of re-resolving `vm(id)` per event per
-    /// probe.
+    /// Each event's VM slot (its index in [`Self::vms`]), in event
+    /// order. An id stored at its own index resolves in O(1); any other
+    /// id through one id-sorted table, built on the first such event —
+    /// never through the linear scan of [`Self::vm`], so traces with
+    /// opaque ids resolve in O(events · log VMs).
     ///
     /// # Panics
     ///
-    /// Panics if an event references a VM id missing from the trace's
-    /// VM table (generated traces are always self-consistent).
-    pub fn index(&self) -> TraceIndex {
-        let slot_of_id: std::collections::BTreeMap<u64, u32> =
-            self.vms.iter().enumerate().map(|(i, v)| (v.id, i as u32)).collect();
-        let vm_slot: Vec<u32> = self
-            .events
-            .iter()
-            .map(|e| *slot_of_id.get(&e.vm_id).expect("trace events reference known VMs"))
-            .collect();
-        // Pair arrivals with departures FIFO per VM (a VM that arrives
-        // twice before departing pairs its first arrival first); an
-        // arrival with no departure runs to the horizon.
-        let mut end_time_s = vec![self.duration_s; self.events.len()];
-        let mut open: Vec<std::collections::VecDeque<usize>> =
-            vec![std::collections::VecDeque::new(); self.vms.len()];
-        for (i, e) in self.events.iter().enumerate() {
-            let slot = vm_slot[i] as usize;
-            match e.kind {
-                VmEventKind::Arrival => open[slot].push_back(i),
-                VmEventKind::Departure => {
-                    end_time_s[i] = e.time_s;
-                    if let Some(arrival) = open[slot].pop_front() {
-                        end_time_s[arrival] = e.time_s;
-                    }
-                }
+    /// The iterator panics at an event whose VM id is missing from the
+    /// trace's VM table (generated and decoded traces are always
+    /// self-consistent).
+    pub fn event_slots(&self) -> impl Iterator<Item = u32> + '_ {
+        let mut by_id: Vec<(u64, u32)> = Vec::new();
+        self.events.iter().map(move |e| {
+            if self.vms.get(e.vm_id as usize).is_some_and(|vm| vm.id == e.vm_id) {
+                return e.vm_id as u32;
             }
-        }
-        TraceIndex { vm_slot, end_time_s }
+            if by_id.is_empty() {
+                by_id = self.vms.iter().enumerate().map(|(i, vm)| (vm.id, i as u32)).collect();
+                by_id.sort_unstable();
+            }
+            let i = by_id
+                .binary_search_by_key(&e.vm_id, |&(id, _)| id)
+                .expect("trace events reference known VMs");
+            by_id[i].1
+        })
     }
 
     /// Looks up a VM by id (ids are dense in generated traces, but the
@@ -214,8 +200,8 @@ impl Trace {
         let mut mem = 0.0f64;
         let mut peak_cores = 0i64;
         let mut peak_mem = 0.0f64;
-        for e in &self.events {
-            let vm = self.vm(e.vm_id).expect("event references known VM");
+        for (e, slot) in self.events.iter().zip(self.event_slots()) {
+            let vm = &self.vms[slot as usize];
             match e.kind {
                 VmEventKind::Arrival => {
                     cores += i64::from(vm.cores);
@@ -534,35 +520,6 @@ impl ContentHasher {
             z ^ (z >> 31)
         }
         (mix(self.a ^ self.b.rotate_left(17)), mix(self.b ^ self.a.rotate_left(43)))
-    }
-}
-
-/// Precomputed per-event resolution of a [`Trace`] (see
-/// [`Trace::index`]): the VM slot each event refers to, and the end
-/// time of each residency.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceIndex {
-    vm_slot: Vec<u32>,
-    end_time_s: Vec<f64>,
-}
-
-impl TraceIndex {
-    /// Index into [`Trace::vms`] of the VM that event `event_idx`
-    /// (an index into [`Trace::events`]) refers to.
-    pub fn vm_slot(&self, event_idx: usize) -> u32 {
-        self.vm_slot[event_idx]
-    }
-
-    /// All per-event VM slots, in event order.
-    pub fn vm_slots(&self) -> &[u32] {
-        &self.vm_slot
-    }
-
-    /// For an arrival event, the time its residency ends: the paired
-    /// departure's timestamp, or the trace horizon if the VM never
-    /// departs. For a departure event, its own timestamp.
-    pub fn end_time_s(&self, event_idx: usize) -> f64 {
-        self.end_time_s[event_idx]
     }
 }
 
@@ -956,31 +913,24 @@ mod tests {
     }
 
     #[test]
-    fn index_resolves_slots_and_pairs_dwells() {
-        let t = sample_trace();
-        let idx = t.index();
-        // Events: arrive(0)@10, arrive(1)@20, depart(0)@100.
-        assert_eq!(idx.vm_slots(), &[0, 1, 0]);
-        assert_eq!(idx.end_time_s(0), 100.0, "vm 0 departs at 100");
-        assert_eq!(idx.end_time_s(1), 3600.0, "vm 1 runs to the horizon");
-        assert_eq!(idx.end_time_s(2), 100.0, "a departure's end is itself");
-    }
-
-    #[test]
-    fn index_handles_sparse_ids_and_rearrivals() {
-        let vms = vec![vm(7, 2), vm(3, 4)];
-        let events = vec![
-            VmEvent { time_s: 1.0, kind: VmEventKind::Arrival, vm_id: 3 },
-            VmEvent { time_s: 2.0, kind: VmEventKind::Departure, vm_id: 3 },
-            VmEvent { time_s: 5.0, kind: VmEventKind::Arrival, vm_id: 3 },
-            VmEvent { time_s: 6.0, kind: VmEventKind::Arrival, vm_id: 7 },
-        ];
-        let t = Trace::new(10.0, vms, events);
-        let idx = t.index();
-        assert_eq!(idx.vm_slots(), &[1, 1, 1, 0]);
-        assert_eq!(idx.end_time_s(0), 2.0, "first residency pairs the departure");
-        assert_eq!(idx.end_time_s(2), 10.0, "second residency runs to the horizon");
-        assert_eq!(idx.end_time_s(3), 10.0);
+    fn event_slots_resolve_dense_permuted_and_sparse_ids() {
+        // Dense ids in list order: the O(1) path.
+        assert_eq!(sample_trace().event_slots().collect::<Vec<_>>(), vec![0, 1, 0]);
+        // Dense ids out of list order, and sparse ids: the sorted
+        // table, including a re-arrival.
+        for ids in [[1u64, 0], [7, 3]] {
+            let t = Trace::new(
+                10.0,
+                vec![vm(ids[0], 2), vm(ids[1], 4)],
+                vec![
+                    VmEvent { time_s: 1.0, kind: VmEventKind::Arrival, vm_id: ids[1] },
+                    VmEvent { time_s: 2.0, kind: VmEventKind::Departure, vm_id: ids[1] },
+                    VmEvent { time_s: 5.0, kind: VmEventKind::Arrival, vm_id: ids[1] },
+                    VmEvent { time_s: 6.0, kind: VmEventKind::Arrival, vm_id: ids[0] },
+                ],
+            );
+            assert_eq!(t.event_slots().collect::<Vec<_>>(), vec![1, 1, 1, 0], "ids {ids:?}");
+        }
     }
 
     #[test]
