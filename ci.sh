@@ -60,6 +60,15 @@ cargo test -q --release -p gsf-vmalloc --test chunk_mutation
 # never compile it; build and test it here (every workload at smoke
 # scale against the library's public sizing and replay calls).
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+# The benchmark's tests run at smoke scale; this checks the pinned
+# full-scale digests. At seed 2024 each workload's outputs must match
+# the digests pinned in benchmark/src/workloads.rs; the binary exits 1
+# on a mismatch. `--seconds 0` keeps each run to its set-up, warm-up and
+# minimum of timed iterations (~15 s for all four in release).
+for workload in size24k sweep16 faults12k stream250k; do
+    cargo run --release --offline -q --manifest-path benchmark/Cargo.toml --bin gsf-benchmark -- \
+        --workload "$workload" --seed 2024 --seconds 0
+done
 # Docs must build clean: public-API rustdoc (broken intra-doc links,
 # links from public docs to private items, malformed HTML) is a release
 # gate, not a warning. --workspace: a bare `cargo doc` documents only

@@ -8,7 +8,10 @@
 //! baseline pool. Both steps are monotone feasibility searches, so they
 //! run as binary searches over simulator replays. Fault-free unsharded
 //! searches answer most probes from the placement high-water mark of a
-//! replay they already ran (DESIGN.md §15).
+//! replay they already ran, and fork the rest, the GreenSKU probes below
+//! the green mark, from a forward cursor over that replay at the event
+//! where they part from it, running each only to its first rejection
+//! (DESIGN.md §15).
 //!
 //! [`right_size`] is the one entry point: a [`SizingRequest`] names the
 //! prepared plans, shapes, policy, fault injection and shard count, and
@@ -16,8 +19,8 @@
 
 use gsf_maintenance::{FaultModel, PoolDevices};
 use gsf_vmalloc::{
-    AllocationSim, ClusterConfig, FaultPlan, FaultSummary, HighWaterMarks, PlacementPolicy,
-    PreparedTrace, ServerShape, ShardedSim, SimOutcome,
+    AllocationSim, ClusterConfig, FaultPlan, FaultSummary, GreenLimit, HighWaterMarks,
+    PlacementPolicy, PreparedTrace, RunEnd, ServerShape, ShardedSim, SimOutcome,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -165,7 +168,8 @@ impl<'a> SizingRequest<'a> {
 /// fault injection each candidate is replayed with its own fault plan,
 /// and the fault summary must also pass [`FaultInjection::admits`].
 /// Fault-free unsharded probes answer from their placement high-water
-/// marks (DESIGN.md §15); faulted and sharded probes bisect.
+/// marks and fork the GreenSKU probes below the green mark (DESIGN.md
+/// §15); faulted and sharded probes bisect.
 ///
 /// # Errors
 ///
@@ -176,44 +180,39 @@ pub fn right_size(request: &SizingRequest<'_>) -> Result<(u32, ClusterPlan), Siz
     let faults = request.faults.filter(|f| !f.model.is_none());
     let (empty, policy) = (ClusterConfig::baseline_only(0), request.policy);
     if request.shards > 1 {
-        search(
-            request,
-            || ShardedSim::new(empty, policy, request.shards),
-            |sim, prepared, config| {
-                crate::sharded::probe(sim, prepared, config, faults, request.workers)
-            },
-        )
+        search(request, |prepared| {
+            let mut sim = ShardedSim::new(empty, policy, request.shards);
+            move |config| crate::sharded::probe(&mut sim, prepared, config, faults, request.workers)
+        })
     } else {
-        search(
-            request,
-            || AllocationSim::new(empty, policy),
-            |sim, prepared, config| probe(sim, prepared, config, faults),
-        )
+        search(request, |prepared| Unsharded {
+            sim: AllocationSim::new(empty, policy),
+            prepared,
+            policy,
+            faults,
+            cursor: None,
+        })
     }
 }
 
-/// Both searches of [`right_size`], each probing on its own simulator
-/// from `new_sim`, so the `n0` search's pools are freed before the mixed
+/// Both searches of [`right_size`], each probing through its own prober
+/// from `prober`, so the `n0` search's pools are freed before the mixed
 /// search grows its own.
-fn search<S>(
-    request: &SizingRequest<'_>,
-    new_sim: impl Fn() -> S,
-    probe: impl Fn(&mut S, &PreparedTrace, ClusterConfig) -> Probe,
+fn search<'a, P: Prober>(
+    request: &SizingRequest<'a>,
+    prober: impl Fn(&'a PreparedTrace) -> P,
 ) -> Result<(u32, ClusterPlan), SizingError> {
     let baseline = request.baseline;
     let n0 = {
-        let mut sim = new_sim();
+        let mut prober = prober(baseline);
         baseline_search(baseline.peak_demand(), request.baseline_shape, |config| {
-            probe(&mut sim, baseline, config)
+            prober.probe(config)
         })?
     };
     let plan = match request.mixed {
         None => ClusterPlan { baseline: n0, green: 0 },
         Some(mixed) => {
-            let mut sim = new_sim();
-            mixed_search(n0, request.baseline_shape, mixed.green_shape, |config| {
-                probe(&mut sim, mixed.prepared, config)
-            })?
+            mixed_search(n0, request.baseline_shape, mixed.green_shape, prober(mixed.prepared))?
         }
     };
     Ok((n0, plan))
@@ -246,6 +245,108 @@ fn probe(
     let feasible =
         feasible(prepared, &config, faults, |plan| sim.replay_prepared_faulted(prepared, plan));
     Probe { feasible, marks: faults.is_none().then(|| sim.high_water_marks()) }
+}
+
+/// What a search skeleton asks of its probes. A closure from a
+/// configuration to its [`Probe`] is a prober whose GreenSKU probes are
+/// plain probes; the unsharded fault-free prober forks them instead.
+trait Prober {
+    /// Probes one candidate configuration.
+    fn probe(&mut self, config: ClusterConfig) -> Probe;
+
+    /// Whether `top`, which the mixed search found feasible, still
+    /// hosts the trace with `green` of its GreenSKUs, below the green
+    /// mark of its replay when the probes report marks.
+    fn fewer_green(&mut self, top: ClusterConfig, green: u32) -> bool {
+        self.probe(ClusterConfig { green_count: green, ..top }).feasible
+    }
+}
+
+impl<F: FnMut(ClusterConfig) -> Probe> Prober for F {
+    fn probe(&mut self, config: ClusterConfig) -> Probe {
+        self(config)
+    }
+}
+
+/// The unsharded engine's prober: one probe simulator, plus the forward
+/// cursor of a forked GreenSKU bisection once one starts.
+struct Unsharded<'a> {
+    sim: AllocationSim,
+    prepared: &'a PreparedTrace,
+    policy: PlacementPolicy,
+    faults: Option<&'a FaultInjection<'a>>,
+    cursor: Option<Cursor>,
+}
+
+impl Prober for Unsharded<'_> {
+    fn probe(&mut self, config: ClusterConfig) -> Probe {
+        probe(&mut self.sim, self.prepared, config, self.faults)
+    }
+
+    /// Fault-free, the probe forks from the replay of `top` (DESIGN.md
+    /// §15): the cursor advances to the event at which that replay
+    /// first opens GreenSKU `green`, the probe simulator copies its
+    /// state, and the probe runs on from there, limited to `green`
+    /// GreenSKUs, until its first rejection.
+    fn fewer_green(&mut self, top: ClusterConfig, green: u32) -> bool {
+        let plain = ClusterConfig { green_count: green, ..top };
+        if self.faults.is_some() {
+            return self.probe(plain).feasible;
+        }
+        let policy = self.policy;
+        let cursor = self.cursor.get_or_insert_with(|| Cursor::new(top, policy));
+        debug_assert_eq!(cursor.top, top, "one GreenSKU bisection per mixed search");
+        let end = cursor.advance(self.prepared, green);
+        debug_assert!(
+            !matches!(end, RunEnd::Rejected(_)),
+            "the feasible top configuration rejected a VM: {end:?}"
+        );
+        let at = match end {
+            RunEnd::Stopped(at) => at,
+            RunEnd::Hosted => self.prepared.event_count(),
+            RunEnd::Rejected(_) => return self.probe(plain).feasible,
+        };
+        self.sim.clone_from(&cursor.sim);
+        self.sim.run_feasibility(self.prepared, at, GreenLimit::Overflow(green)) == RunEnd::Hosted
+    }
+}
+
+/// The forward cursor of a forked GreenSKU bisection: a simulator
+/// replaying `top` fault-free, stopped just before the arrival that
+/// first opens some GreenSKU.
+struct Cursor {
+    sim: AllocationSim,
+    /// The configuration it replays.
+    top: ClusterConfig,
+    /// The next event it replays.
+    next: usize,
+}
+
+impl Cursor {
+    /// A cursor at event 0 of `top`'s replay.
+    fn new(top: ClusterConfig, policy: PlacementPolicy) -> Self {
+        Self { sim: AllocationSim::new(top, policy), top, next: 0 }
+    }
+
+    /// Advances to the divergence of the probe with `green` GreenSKUs:
+    /// just before the arrival at which `top`'s replay first opens
+    /// GreenSKU `green`. A cursor that has opened it already (the
+    /// bisection stepped back below a feasible probe) restarts from
+    /// event 0.
+    fn advance(&mut self, prepared: &PreparedTrace, green: u32) -> RunEnd {
+        if self.sim.high_water_marks().green > green {
+            self.sim.reset(self.top);
+            self.next = 0;
+        }
+        let end = self.sim.run_feasibility(prepared, self.next, GreenLimit::Stop(green));
+        self.next = match end {
+            RunEnd::Stopped(at) => at,
+            RunEnd::Hosted => prepared.event_count(),
+            // The replay rejects the VM and carries on.
+            RunEnd::Rejected(at) => at + 1,
+        };
+        end
+    }
 }
 
 /// One feasibility probe's answer to a search skeleton.
@@ -342,12 +443,14 @@ fn baseline_search(
 /// green pool evolves the same whatever the baseline count, so a replay
 /// whose green mark stays below the cap repeats at every larger cap,
 /// and a GreenSKU count at or above the mark repeats the feasible
-/// `(b_min, green_cap)` replay.
+/// `(b_min, green_cap)` replay. Below the mark the bisection asks
+/// [`Prober::fewer_green`], which the unsharded fault-free prober
+/// answers by forking from that replay at the probe's divergence.
 fn mixed_search(
     n0: u32,
     baseline_shape: ServerShape,
     green_shape: ServerShape,
-    mut probe: impl FnMut(ClusterConfig) -> Probe,
+    mut prober: impl Prober,
 ) -> Result<ClusterPlan, SizingError> {
     // A green server is at least as large as a baseline server in both
     // dimensions for the standard shapes; scale the green cap by the
@@ -373,7 +476,7 @@ fn mixed_search(
     // the current green cap, the cap itself is the constraint (large
     // scaling factors, packing anomalies) — double it and retry.
     let (mut b_min, mut marks) = loop {
-        let (found, marks) = min_baseline_count(0, n0, |b| probe(config(b, green_cap)));
+        let (found, marks) = min_baseline_count(0, n0, |b| prober.probe(config(b, green_cap)));
         if let Some(b) = found {
             break (b, marks);
         }
@@ -386,7 +489,7 @@ fn mixed_search(
     // would free; keep doubling while that shrinks the baseline count.
     while b_min > 0 && green_cap < cap_limit && !below_cap(marks, green_cap) {
         let doubled = green_cap.saturating_mul(2).min(cap_limit);
-        match min_baseline_count(0, b_min - 1, |b| probe(config(b, doubled))) {
+        match min_baseline_count(0, b_min - 1, |b| prober.probe(config(b, doubled))) {
             (Some(b), doubled_marks) => {
                 green_cap = doubled;
                 b_min = b;
@@ -399,9 +502,9 @@ fn mixed_search(
     // searches above found `(b_min, green_cap)` feasible, and probes are
     // deterministic, so the bisection starts from it as its known top
     // instead of replaying it again.
-    let g_min = bisect(0, green_cap, |g| {
-        marks.is_some_and(|m| g >= m.green) || probe(config(b_min, g)).feasible
-    });
+    let top = config(b_min, green_cap);
+    let g_min =
+        bisect(0, green_cap, |g| marks.is_some_and(|m| g >= m.green) || prober.fewer_green(top, g));
     Ok(ClusterPlan { baseline: b_min, green: g_min })
 }
 
@@ -811,12 +914,12 @@ mod tests {
     fn green_mark_under_the_cap_skips_every_doubled_cap() {
         for fleet in FLEETS {
             let mut exact_caps = Vec::new();
-            let got = mixed_search(N0, SHAPE, SHAPE, |c| {
+            let got = mixed_search(N0, SHAPE, SHAPE, |c: ClusterConfig| {
                 exact_caps.push(c.green_count);
                 fleet.exact(c)
             });
             let mut plain_calls = 0usize;
-            let want = reference_mixed_search(N0, SHAPE, SHAPE, |c| {
+            let want = reference_mixed_search(N0, SHAPE, SHAPE, |c: ClusterConfig| {
                 plain_calls += 1;
                 fleet.exact(c).feasible
             });
@@ -828,14 +931,14 @@ mod tests {
         // initial cap (16), so the exact search stays at 16 and below.
         let fleet = FLEETS[0];
         let mut plain_caps = Vec::new();
-        reference_mixed_search(N0, SHAPE, SHAPE, |c| {
+        reference_mixed_search(N0, SHAPE, SHAPE, |c: ClusterConfig| {
             plain_caps.push(c.green_count);
             fleet.exact(c).feasible
         })
         .unwrap();
         assert!(plain_caps.contains(&32), "{plain_caps:?}");
         let mut exact_caps = Vec::new();
-        mixed_search(N0, SHAPE, SHAPE, |c| {
+        mixed_search(N0, SHAPE, SHAPE, |c: ClusterConfig| {
             exact_caps.push(c.green_count);
             fleet.exact(c)
         })
@@ -851,12 +954,12 @@ mod tests {
     fn probes_without_marks_keep_the_plain_search_call_for_call() {
         for fleet in FLEETS {
             let mut got = Vec::new();
-            let got_plan = mixed_search(N0, SHAPE, SHAPE, |c| {
+            let got_plan = mixed_search(N0, SHAPE, SHAPE, |c: ClusterConfig| {
                 got.push(c);
                 Probe::plain(fleet.exact(c).feasible)
             });
             let mut want = Vec::new();
-            let want_plan = reference_mixed_search(N0, SHAPE, SHAPE, |c| {
+            let want_plan = reference_mixed_search(N0, SHAPE, SHAPE, |c: ClusterConfig| {
                 want.push(c);
                 fleet.exact(c).feasible
             });

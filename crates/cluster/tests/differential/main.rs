@@ -31,6 +31,10 @@
 //!   `benchmark/` shims return the oracle's plain search's answer, `Ok`
 //!   and `Err` alike, fault-free (where the high-water-mark shortcuts of
 //!   DESIGN.md §15 answer) and faulted.
+//! - `forked_green_probes_match_the_oracle_across_a_cursor_restart`:
+//!   the GreenSKU bisection's forked probes (DESIGN.md §15) on a plan
+//!   below its green mark, where a forked probe is feasible and the
+//!   cursor restarts.
 //! - `sharded_sizing_is_the_plain_search_over_sharded_replays`: sharded
 //!   sizing is the oracle's search over the serial sharded reference,
 //!   for any worker count.
@@ -575,6 +579,39 @@ fn sizing_edge_cases_match_the_oracle() {
                 oracle::right_size(&trace, Some((&transform, green)), shape, policy, None);
             assert_eq!(sized, reference, "{policy} x{factor}");
         }
+    }
+}
+
+/// A plan with fewer GreenSKUs than the green mark of the replay at its
+/// baseline count and a wide cap. The GreenSKU bisection then finds a
+/// forked probe below the mark feasible and probes below it again, so
+/// its cursor, already past that probe's divergence, restarts from
+/// event 0 (DESIGN.md §15).
+#[test]
+fn forked_green_probes_match_the_oracle_across_a_cursor_restart() {
+    let (shape, green) = (ServerShape::baseline_gen3(), ServerShape::greensku());
+    let trace = random_trace(80, 11, 0.05);
+    let prepared = PreparedTrace::new(&trace, &routed);
+    let prepared_baseline = PreparedTrace::new(&trace, &baseline_only);
+    for policy in POLICIES {
+        let sized = right_size(&SizingRequest {
+            mixed: Some(MixedSearch { prepared: &prepared, green_shape: green }),
+            ..SizingRequest::new(&prepared_baseline, shape, policy)
+        });
+        let reference = oracle::right_size(&trace, Some((&routed, green)), shape, policy, None);
+        assert_eq!(sized, reference, "{policy}");
+        let (n0, plan) = sized.unwrap();
+        let wide = ClusterConfig {
+            baseline_count: plan.baseline,
+            baseline_shape: shape,
+            green_count: 4 * n0,
+            green_shape: green,
+        };
+        let mut sim = AllocationSim::new(wide, policy);
+        let (outcome, _) = sim.replay_prepared_faulted(&prepared, &FaultPlan::empty());
+        assert!(outcome.no_rejections(), "{policy}");
+        let mark = sim.high_water_marks().green;
+        assert!(plan.green < mark && mark < wide.green_count, "{policy}: {plan:?}, mark {mark}");
     }
 }
 

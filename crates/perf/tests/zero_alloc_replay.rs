@@ -16,14 +16,19 @@
 //! allocates exactly as much on the 10×-larger trace. Its constant is
 //! the ledger root plus the one downtime-map node the failure opens.
 //!
+//! So does the sizing search's forked GreenSKU probe (DESIGN.md §15):
+//! a cursor's feasibility run up to the event where a limit GreenSKU
+//! would open, a state copy into the probe simulator, and the probe's
+//! limited run from there to the end of the trace.
+//!
 //! This test must be the only `#[test]` in its binary: the counting
 //! allocator is process-global, and a concurrently running test would
 //! perturb the counts.
 
 use gsf_perf::alloc_count::CountingAllocator;
 use gsf_vmalloc::{
-    AllocationSim, ClusterConfig, FaultEvent, FaultKind, FaultPlan, FaultPool, PlacementPolicy,
-    PlacementRequest, PreparedTrace,
+    AllocationSim, ClusterConfig, FaultEvent, FaultKind, FaultPlan, FaultPool, GreenLimit,
+    PlacementPolicy, PlacementRequest, PreparedTrace, RunEnd,
 };
 use gsf_workloads::{ServerGeneration, Trace, VmEvent, VmEventKind, VmSpec};
 
@@ -147,4 +152,46 @@ fn steady_state_replay_allocates_zero_per_event() {
         small_faulted <= 2 * u64::from(APPS),
         "faulted per-replay allocation constant regressed: {small_faulted}"
     );
+
+    // The forked GreenSKU probe on a mixed cluster with GreenSKUs to
+    // spare. The limit is half the green mark of each trace's full
+    // replay, so the cursor stops partway through the trace and the
+    // probe overflows to the baseline pool from there to the end.
+    let mixed = ClusterConfig::mixed(60, 40);
+    let prefer_green = |vm: &VmSpec| PlacementRequest::prefer_green(vm, 1.0);
+    let routed_small = PreparedTrace::new(&small, &prefer_green);
+    let routed_large = PreparedTrace::new(&large, &prefer_green);
+    let mut cursor = AllocationSim::new(mixed, PlacementPolicy::BestFit);
+    let mut probe = AllocationSim::new(mixed, PlacementPolicy::BestFit);
+    let mut fork = |prepared: &PreparedTrace| {
+        cursor.reset(mixed);
+        let full = cursor.run_feasibility(prepared, 0, GreenLimit::Stop(u32::MAX));
+        assert_eq!(full, RunEnd::Hosted, "fixture must not reject");
+        let limit = cursor.high_water_marks().green / 2;
+        assert!(limit > 0, "fixture must open GreenSKUs");
+        cursor.reset(mixed);
+        let before = ALLOC.allocations();
+        let stopped = cursor.run_feasibility(prepared, 0, GreenLimit::Stop(limit));
+        probe.clone_from(&cursor);
+        let RunEnd::Stopped(at) = stopped else {
+            panic!("the cursor must stop at GreenSKU {limit}: {stopped:?}");
+        };
+        let end = probe.run_feasibility(prepared, at, GreenLimit::Overflow(limit));
+        let allocated = ALLOC.allocations() - before;
+        assert_eq!(end, RunEnd::Hosted, "fixture must not reject");
+        allocated
+    };
+    // Warm: grow both simulators to the large trace's state first.
+    for prepared in [&routed_large, &routed_small] {
+        fork(prepared);
+    }
+    let small_fork = fork(&routed_small);
+    let large_fork = fork(&routed_large);
+    assert_eq!(
+        small_fork, large_fork,
+        "heap allocations grew with the event count on the forked probe \
+         (cursor run, state copy, limited run) \
+         (small trace: {small_fork}, 10x trace: {large_fork})"
+    );
+    assert_eq!(small_fork, 0, "a warm fork must not allocate: {small_fork}");
 }

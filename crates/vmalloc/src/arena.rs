@@ -34,7 +34,7 @@ use crate::server::PlacedVm;
 /// Struct-of-arrays storage for every VM currently placed anywhere in
 /// one simulator's cluster. See the module docs for the slot lifecycle
 /// and determinism contract.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct VmArena {
     ids: Vec<u64>,
     cores: Vec<u32>,
@@ -43,6 +43,25 @@ pub struct VmArena {
     /// Released slots, recycled LIFO so hot slots stay cache-warm.
     free: Vec<u32>,
     live: usize,
+}
+
+/// Written out so [`Clone::clone_from`] reuses every column.
+impl Clone for VmArena {
+    fn clone(&self) -> Self {
+        let mut arena = Self::new();
+        arena.clone_from(self);
+        arena
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self { ids, cores, mem_gb, max_mem_util, free, live } = source;
+        self.ids.clone_from(ids);
+        self.cores.clone_from(cores);
+        self.mem_gb.clone_from(mem_gb);
+        self.max_mem_util.clone_from(max_mem_util);
+        self.free.clone_from(free);
+        self.live = *live;
+    }
 }
 
 impl VmArena {

@@ -106,7 +106,7 @@ fn same_shape(a: ServerShape, b: ServerShape) -> bool {
 /// server `i`'s lane value, internal node `k` holds the max of its
 /// children `2k` / `2k+1`. Padding leaves (`n..size`) stay 0 and are
 /// never feasible. The free-core buckets ride along for BestFit.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PlacementIndex {
     /// Number of indexed servers.
     n: usize,
@@ -140,6 +140,47 @@ pub struct PlacementIndex {
     /// Upper bound on `1/shape.mem_gb` over every positive-memory
     /// shape, maintained like [`Self::max_shape_cores`].
     inv_mem_bound: f64,
+}
+
+/// Written out so [`Clone::clone_from`] reuses the trees, the buckets
+/// and the per-server columns.
+impl Clone for PlacementIndex {
+    fn clone(&self) -> Self {
+        let mut index = Self::new(&[]);
+        index.clone_from(self);
+        index
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            n,
+            size,
+            nonempty,
+            empty,
+            buckets,
+            bucket_of,
+            bucket_pos,
+            uniform_shape,
+            flags,
+            deviant_empty,
+            zero_cap,
+            max_shape_cores,
+            inv_mem_bound,
+        } = source;
+        self.n = *n;
+        self.size = *size;
+        self.nonempty.clone_from(nonempty);
+        self.empty.clone_from(empty);
+        self.buckets.clone_from(buckets);
+        self.bucket_of.clone_from(bucket_of);
+        self.bucket_pos.clone_from(bucket_pos);
+        self.uniform_shape = *uniform_shape;
+        self.flags.clone_from(flags);
+        self.deviant_empty = *deviant_empty;
+        self.zero_cap = *zero_cap;
+        self.max_shape_cores = *max_shape_cores;
+        self.inv_mem_bound = *inv_mem_bound;
+    }
 }
 
 impl PlacementIndex {

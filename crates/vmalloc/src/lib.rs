@@ -40,6 +40,7 @@ pub use prepared::{PreparedTrace, PreparedTraceBuilder};
 pub use server::ServerState;
 pub use shard::{merge_outcomes, ShardPlan, ShardTask, ShardedSim, SHARD_ROUTING_VERSION};
 pub use simulator::{
-    AllocationSim, HighWaterMarks, PlacementRequest, SimOutcome, TargetPool, VmTransform,
+    AllocationSim, GreenLimit, HighWaterMarks, PlacementRequest, RunEnd, SimOutcome, TargetPool,
+    VmTransform,
 };
 pub use usage::UsageLedger;

@@ -46,7 +46,7 @@ pub struct PlacedVm {
 /// that list in order, so accumulation order — and therefore every low
 /// bit the differential harness pins — is exactly what the former
 /// `BTreeMap<u64, PlacedVm>` storage produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct ServerState {
     shape: ServerShape,
     cores_allocated: u32,
@@ -54,6 +54,22 @@ pub struct ServerState {
     /// Arena slots of hosted VMs, sorted ascending by `arena.id(slot)`.
     vms: Vec<u32>,
     offline: bool,
+}
+
+/// Written out so [`Clone::clone_from`] reuses the occupancy list.
+impl Clone for ServerState {
+    fn clone(&self) -> Self {
+        Self { vms: self.vms.clone(), ..*self }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self { shape, cores_allocated, mem_allocated_gb, vms, offline } = source;
+        self.shape = *shape;
+        self.cores_allocated = *cores_allocated;
+        self.mem_allocated_gb = *mem_allocated_gb;
+        self.vms.clone_from(vms);
+        self.offline = *offline;
+    }
 }
 
 impl ServerState {

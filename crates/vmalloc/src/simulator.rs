@@ -19,6 +19,16 @@
 //! through a private `Pool`, which keeps its index in step, and a
 //! private `Run` holds one replay's state and applies each event and
 //! fault to the two pools.
+//!
+//! [`AllocationSim::run_feasibility`] is the sizing searches' cheaper
+//! cousin of a replay: fault-free, it keeps no metrics or usage, resumes
+//! from any event the simulator's state stands at, reads the GreenSKUs
+//! from a [`GreenLimit`] up as absent, and returns at the first
+//! rejection.
+//! It places and departs through the same selection and residency code
+//! as `Run`. With [`Clone::clone_from`], which copies one simulator's
+//! state into another's buffers, it lets a GreenSKU probe fork from a
+//! larger replay at the event where the two part (DESIGN.md §15).
 
 use crate::arena::VmArena;
 use crate::cluster::ClusterConfig;
@@ -98,15 +108,15 @@ impl PlacementRequest {
 /// GSF adoption component plugs into allocation.
 pub type VmTransform<'a> = dyn Fn(&VmSpec) -> PlacementRequest + 'a;
 
-/// Book-keeping for a currently placed VM: where it lives, since when,
-/// and what it is charged.
+/// Book-keeping for a currently placed VM: where it lives and since
+/// when. What it is charged, its app and its cores on that pool, is in
+/// its prepared request, so an entry of the residency table takes 16
+/// bytes.
 #[derive(Debug, Clone, Copy)]
 struct Resident {
     pool: FaultPool,
-    server: usize,
+    server: u32,
     since_s: f64,
-    cores: u32,
-    app_index: u16,
 }
 
 /// Result of replaying a trace.
@@ -150,7 +160,41 @@ pub struct HighWaterMarks {
     pub green: u32,
 }
 
+/// What [`AllocationSim::run_feasibility`] does with the GreenSKUs from
+/// index `count` up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GreenLimit {
+    /// Reads a choice of one of them as "no GreenSKU fits", so the VM
+    /// tries the baseline pool. While they are pristine, no server below
+    /// `count` fits when the policy picks one of them (DESIGN.md §15),
+    /// and the run never touches them: it is the replay on the pool's
+    /// first `count` GreenSKUs.
+    Overflow(u32),
+    /// Stops just before the first arrival that would open one of them,
+    /// leaving the whole pool's replay up to that event: a fork point
+    /// for a run with `Overflow(count)`.
+    Stop(u32),
+}
+
+/// Where an [`AllocationSim::run_feasibility`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunEnd {
+    /// Every remaining event was placed or departed.
+    Hosted,
+    /// The arrival at this event index found no server.
+    Rejected(usize),
+    /// [`GreenLimit::Stop`]: the arrival at this event index would open
+    /// a GreenSKU at or above the limit; the simulator holds the state
+    /// before it.
+    Stopped(usize),
+}
+
 /// The allocation simulator.
+///
+/// [`Clone::clone_from`] copies a simulator's whole state into another
+/// one's buffers: pools with their occupancy lists, placement indexes and
+/// marks, the arena, and the residency table. Once the target has held a
+/// state as large, the copy allocates nothing.
 #[derive(Debug)]
 pub struct AllocationSim {
     baseline: Pool,
@@ -160,13 +204,35 @@ pub struct AllocationSim {
     /// Cluster-wide slot storage for every placed VM; servers hold
     /// occupancy lists of arena slots (see [`crate::arena`]).
     arena: VmArena,
-    /// The residency table and the displaced-id buffer, kept between
-    /// replays so the steady-state event loop performs no heap
-    /// allocation: a `Run` takes each for as long as it needs it, then
-    /// clears it and puts it back, which preserves its capacity for the
-    /// next replay.
+    /// The residency table, indexed by trace slot, and the
+    /// displaced-id buffer, kept between replays so the steady-state
+    /// event loop performs no heap allocation. A replay re-initialises
+    /// the table and a feasibility run resumes it; a strike takes the
+    /// buffer for as long as it needs it, then clears it and puts it
+    /// back, which preserves its capacity.
     residents: Vec<Option<Resident>>,
     displaced: Vec<u64>,
+}
+
+impl Clone for AllocationSim {
+    fn clone(&self) -> Self {
+        let mut sim = Self::new(ClusterConfig::baseline_only(0), self.policy);
+        sim.clone_from(self);
+        sim
+    }
+
+    /// Reuses every buffer of `self` (see [`AllocationSim`]).
+    fn clone_from(&mut self, source: &Self) {
+        // The displaced-id buffer is scratch, empty between events.
+        let Self { baseline, green, policy, snapshot_interval_s, arena, residents, displaced: _ } =
+            source;
+        self.baseline.clone_from(baseline);
+        self.green.clone_from(green);
+        self.policy = *policy;
+        self.snapshot_interval_s = *snapshot_interval_s;
+        self.arena.clone_from(arena);
+        self.residents.clone_from(residents);
+    }
 }
 
 impl AllocationSim {
@@ -295,6 +361,99 @@ impl AllocationSim {
         run.finish()
     }
 
+    /// A fault-free feasibility run over `prepared`'s events from index
+    /// `from` on, continuing from the simulator's current state. It
+    /// places and departs VMs as a replay does, under `limit`, but keeps
+    /// no metrics, usage or served time, and returns at the first
+    /// rejection.
+    ///
+    /// `from == 0` starts a replay on a reset simulator. A later `from`
+    /// resumes the state at that event of the same trace: one an earlier
+    /// run stopped at ([`RunEnd::Stopped`]), or a copy of it
+    /// ([`Clone::clone_from`]).
+    pub fn run_feasibility(
+        &mut self,
+        prepared: &PreparedTrace,
+        from: usize,
+        limit: GreenLimit,
+    ) -> RunEnd {
+        if from == 0 {
+            self.residents.clear();
+            self.residents.resize(prepared.vm_count(), None);
+        }
+        let (count, stop) = match limit {
+            GreenLimit::Overflow(count) => (count as usize, false),
+            GreenLimit::Stop(count) => (count as usize, true),
+        };
+        for (i, event) in prepared.events().iter().enumerate().skip(from) {
+            match event.kind {
+                VmEventKind::Arrival => {
+                    let green = match self.choose_green(&prepared.vm(event.slot).request) {
+                        Some(server) if server >= count => {
+                            if stop {
+                                return RunEnd::Stopped(i);
+                            }
+                            None
+                        }
+                        green => green,
+                    };
+                    if self.place(prepared, event.slot, green, event.time_s).is_none() {
+                        return RunEnd::Rejected(i);
+                    }
+                }
+                VmEventKind::Departure => {
+                    self.vacate(prepared, event.slot);
+                }
+            }
+        }
+        RunEnd::Hosted
+    }
+
+    /// The GreenSKU the policy picks for `request`, if it prefers one.
+    fn choose_green(&self, request: &PlacementRequest) -> Option<usize> {
+        match request.target {
+            TargetPool::PreferGreen => {
+                self.green.choose(self.policy, request.green_cores, request.green_mem_gb)
+            }
+            TargetPool::BaselineOnly => None,
+        }
+    }
+
+    /// Places the VM in `slot` on GreenSKU `green` when there is one,
+    /// else on the baseline server the policy picks, and makes it
+    /// resident from `now`. `None` when no baseline server fits either.
+    fn place(
+        &mut self,
+        prepared: &PreparedTrace,
+        slot: u32,
+        green: Option<usize>,
+        now: f64,
+    ) -> Option<FaultPool> {
+        let vm = prepared.vm(slot);
+        let r = &vm.request;
+        let (which, server, cores, mem_gb) = match green {
+            Some(i) => (FaultPool::Green, i, r.green_cores, r.green_mem_gb),
+            None => {
+                let i = self.baseline.choose(self.policy, r.baseline_cores, r.baseline_mem_gb)?;
+                (FaultPool::Baseline, i, r.baseline_cores, r.baseline_mem_gb)
+            }
+        };
+        let (pool, arena) = self.pool(which);
+        pool.place(arena, server, vm.id, PlacedVm { cores, mem_gb, max_mem_util: vm.max_mem_util });
+        self.residents[slot as usize] =
+            Some(Resident { pool: which, server: server as u32, since_s: now });
+        Some(which)
+    }
+
+    /// Ends the residency of the VM in `slot`, if it has one, and frees
+    /// its server.
+    fn vacate(&mut self, prepared: &PreparedTrace, slot: u32) -> Option<Resident> {
+        let resident = self.residents[slot as usize].take()?;
+        let (pool, arena) = self.pool(resident.pool);
+        pool.remove(arena, resident.server as usize, prepared.vm(slot).id);
+        Some(resident)
+    }
+
     /// The pool `which` names, with the arena its servers store VMs in.
     fn pool(&mut self, which: FaultPool) -> (&mut Pool, &mut VmArena) {
         match which {
@@ -321,6 +480,20 @@ struct Pool {
     /// last reset; read by [`AllocationSim::high_water_marks`], never
     /// part of a [`SimOutcome`].
     high_water: u32,
+}
+
+impl Clone for Pool {
+    fn clone(&self) -> Self {
+        Self { servers: self.servers.clone(), index: self.index.clone(), ..*self }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self { servers, index, shape, high_water } = source;
+        self.servers.clone_from(servers);
+        self.index.clone_from(index);
+        self.shape = *shape;
+        self.high_water = *high_water;
+    }
 }
 
 impl Pool {
@@ -442,8 +615,6 @@ struct Run<'a> {
     next_fault: usize,
     /// When the next interim metrics snapshot is due.
     next_snapshot_s: f64,
-    /// Resident VMs, indexed by trace slot.
-    residents: Vec<Option<Resident>>,
     /// Placement counters, packing metrics and usage so far.
     outcome: SimOutcome,
     summary: FaultSummary,
@@ -464,9 +635,8 @@ struct Run<'a> {
 
 impl<'a> Run<'a> {
     fn new(sim: &'a mut AllocationSim, prepared: &'a PreparedTrace, plan: &'a FaultPlan) -> Self {
-        let mut residents = std::mem::take(&mut sim.residents);
-        residents.clear();
-        residents.resize(prepared.vm_count(), None);
+        sim.residents.clear();
+        sim.residents.resize(prepared.vm_count(), None);
         let next_snapshot_s = sim.snapshot_interval_s;
         let outcome = SimOutcome {
             rejected: 0,
@@ -482,7 +652,6 @@ impl<'a> Run<'a> {
             plan,
             next_fault: 0,
             next_snapshot_s,
-            residents,
             outcome,
             summary: FaultSummary::default(),
             pending: BTreeMap::new(),
@@ -538,51 +707,32 @@ impl<'a> Run<'a> {
     /// GreenSKU first when its request prefers one, and makes it
     /// resident from `now`. `None` when no server has room.
     fn place(&mut self, slot: u32, now: f64) -> Option<FaultPool> {
-        let vm = self.prepared.vm(slot);
-        let (r, policy) = (&vm.request, self.sim.policy);
-        let green = match r.target {
-            TargetPool::PreferGreen => self.sim.green.choose(policy, r.green_cores, r.green_mem_gb),
-            TargetPool::BaselineOnly => None,
-        };
-        let (which, server, cores, mem_gb) = match green {
-            Some(i) => (FaultPool::Green, i, r.green_cores, r.green_mem_gb),
-            None => {
-                let i = self.sim.baseline.choose(policy, r.baseline_cores, r.baseline_mem_gb)?;
-                (FaultPool::Baseline, i, r.baseline_cores, r.baseline_mem_gb)
-            }
-        };
-        let (pool, arena) = self.sim.pool(which);
-        pool.place(arena, server, vm.id, PlacedVm { cores, mem_gb, max_mem_util: vm.max_mem_util });
-        let resident =
-            Resident { pool: which, server, since_s: now, cores, app_index: vm.app_index };
-        self.residents[slot as usize] = Some(resident);
-        Some(which)
+        let green = self.sim.choose_green(&self.prepared.vm(slot).request);
+        self.sim.place(self.prepared, slot, green, now)
     }
 
     /// A departure ends a residency, or a wait that never found a
     /// server (an evacuation failure). A VM rejected on arrival is in
     /// neither.
     fn depart(&mut self, slot: u32, now: f64) {
-        let id = self.prepared.vm(slot).id;
-        if let Some(resident) = self.residents[slot as usize].take() {
-            let (pool, arena) = self.sim.pool(resident.pool);
-            pool.remove(arena, resident.server, id);
-            self.charge(resident, now);
-        } else if let Some(since) = self.pending.remove(&id) {
+        if let Some(resident) = self.sim.vacate(self.prepared, slot) {
+            self.charge(slot, resident, now);
+        } else if let Some(since) = self.pending.remove(&self.prepared.vm(slot).id) {
             self.summary.evacuation_failures += 1;
             self.summary.availability.vm_seconds_lost += now - since;
         }
     }
 
-    /// Books a residency's core-seconds up to `until`, and its dwell as
-    /// served time.
-    fn charge(&mut self, resident: Resident, until: f64) {
+    /// Books the residency of the VM in `slot` up to `until`: its
+    /// core-seconds on its pool, and its dwell as served time.
+    fn charge(&mut self, slot: u32, resident: Resident, until: f64) {
         let dwell = until - resident.since_s;
         self.served_s += dwell;
-        let usage = &mut self.outcome.usage;
+        let vm = self.prepared.vm(slot);
+        let (app, usage) = (vm.app_index, &mut self.outcome.usage);
         match resident.pool {
-            FaultPool::Baseline => usage.record_baseline(resident.app_index, resident.cores, dwell),
-            FaultPool::Green => usage.record_green(resident.app_index, resident.cores, dwell),
+            FaultPool::Baseline => usage.record_baseline(app, vm.request.baseline_cores, dwell),
+            FaultPool::Green => usage.record_green(app, vm.request.green_cores, dwell),
         }
     }
 
@@ -627,9 +777,11 @@ impl<'a> Run<'a> {
         *peak = (*peak).max(self.pending.len() + displaced.len());
         // Close out the displaced VMs' residency on their old server.
         for &id in displaced.iter() {
-            let slot = self.prepared.slot_of_id(id);
-            if let Some(resident) = slot.and_then(|slot| self.residents[slot as usize].take()) {
-                self.charge(resident, now);
+            let Some(slot) = self.prepared.slot_of_id(id) else {
+                continue;
+            };
+            if let Some(resident) = self.sim.residents[slot as usize].take() {
+                self.charge(slot, resident, now);
             }
         }
         // Bounded re-placement: each pass retries the still-homeless
@@ -695,8 +847,8 @@ impl<'a> Run<'a> {
         let sim = &*self.sim;
         self.outcome.metrics.snapshot(&sim.baseline.servers, &sim.green.servers, &sim.arena);
         for &slot in prepared.slots_by_id() {
-            if let Some(resident) = self.residents[slot as usize].take() {
-                self.charge(resident, horizon);
+            if let Some(resident) = self.sim.residents[slot as usize].take() {
+                self.charge(slot, resident, horizon);
             }
         }
         let summary = &mut self.summary;
@@ -710,7 +862,6 @@ impl<'a> Run<'a> {
         if summary.faults_applied() {
             summary.availability.vm_seconds_served = self.served_s;
         }
-        self.sim.residents = self.residents;
         (self.outcome, self.summary)
     }
 }
@@ -991,6 +1142,54 @@ mod tests {
         assert_eq!(at_mark.rejected, wide.rejected);
         assert_eq!(at_mark.usage, wide.usage);
         assert_eq!(sim.high_water_marks(), HighWaterMarks { baseline: 1, green: 2 });
+    }
+
+    #[test]
+    fn forked_feasibility_runs_match_replays_on_fewer_greenskus() {
+        // 60 VMs of 8 (10 green) or 16 (20 green) cores, arriving one a
+        // second; every third departs 15 s after arriving, so servers
+        // empty and refill while the pools grow.
+        let vms: Vec<VmSpec> =
+            (0..60).map(|i| vm(i, 8 * (1 + (i % 2) as u32), 32.0, false)).collect();
+        let mut events: Vec<VmEvent> = (0..60).map(|i| arrive(i, f64::from(i as u32))).collect();
+        events.extend((0..60).step_by(3).map(|i| depart(i, f64::from(i as u32) + 15.5)));
+        let t = trace(vms, events);
+        let prepared =
+            PreparedTrace::new(&t, &|v: &VmSpec| PlacementRequest::prefer_green(v, 1.25));
+        let top = ClusterConfig::mixed(4, 12);
+        let mut wide = AllocationSim::new(top, PlacementPolicy::BestFit);
+        assert_eq!(wide.run_feasibility(&prepared, 0, GreenLimit::Stop(u32::MAX)), RunEnd::Hosted);
+        let mark = wide.high_water_marks().green;
+        assert!((2..12).contains(&mark), "the fixture must leave GreenSKUs pristine: {mark}");
+
+        let mut cursor = AllocationSim::new(top, PlacementPolicy::BestFit);
+        let mut probe = AllocationSim::new(top, PlacementPolicy::BestFit);
+        let mut verdicts = Vec::new();
+        for green in 0..mark {
+            let config = ClusterConfig { green_count: green, ..top };
+            let replayed = AllocationSim::new(config, PlacementPolicy::BestFit)
+                .replay_prepared(&prepared)
+                .no_rejections();
+            // Limited on the whole pool from event 0.
+            probe.reset(top);
+            let limited = probe.run_feasibility(&prepared, 0, GreenLimit::Overflow(green));
+            assert_eq!(limited == RunEnd::Hosted, replayed, "{green} GreenSKUs");
+            // Forked from a cursor that stopped where the two part.
+            let RunEnd::Stopped(at) = cursor.run_feasibility(&prepared, 0, GreenLimit::Stop(green))
+            else {
+                panic!("the wide replay opens GreenSKU {green}");
+            };
+            assert_eq!(cursor.high_water_marks().green, green);
+            probe.clone_from(&cursor);
+            assert!(probe.storage_consistent());
+            assert_eq!(probe.high_water_marks(), cursor.high_water_marks());
+            let forked = probe.run_feasibility(&prepared, at, GreenLimit::Overflow(green));
+            assert_eq!(forked, limited, "{green} GreenSKUs");
+            cursor.reset(top);
+            verdicts.push(replayed);
+        }
+        // The fixture covers both verdicts.
+        assert!(verdicts.contains(&true) && verdicts.contains(&false), "{verdicts:?}");
     }
 
     fn full_fault(time_s: f64, pool: FaultPool, server: u32) -> FaultEvent {

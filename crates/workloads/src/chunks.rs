@@ -41,6 +41,7 @@
 
 use crate::trace::{
     ensure_u32, generation_code, kind_code, validate_vm, Trace, TraceCodecError, TraceHasher,
+    VM_RECORD_BYTES,
 };
 use crate::vm::{ServerGeneration, VmEvent, VmEventKind, VmSpec};
 use std::fmt;
@@ -272,8 +273,9 @@ impl<W: Write> TraceChunkWriter<W> {
         let n_vms = ensure_u32(self.vm_buf.len(), "chunk VM")?;
         let n_events = ensure_u32(self.event_buf.len(), "chunk event")?;
         let running = self.hasher.digest(self.duration_s);
-        let mut buf: Vec<u8> =
-            Vec::with_capacity(29 + self.vm_buf.len() * 48 + self.event_buf.len() * 13);
+        let mut buf: Vec<u8> = Vec::with_capacity(
+            29 + self.vm_buf.len() * VM_RECORD_BYTES + self.event_buf.len() * 13,
+        );
         buf.push(CHUNK_TAG);
         buf.extend_from_slice(&n_vms.to_be_bytes());
         buf.extend_from_slice(&n_events.to_be_bytes());

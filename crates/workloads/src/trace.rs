@@ -12,6 +12,10 @@ use std::fmt;
 const MAGIC: u32 = 0x6753_5447; // "GSTG"
 /// Codec version.
 const VERSION: u16 = 2;
+/// Bytes of one encoded VM record, in this codec and in the chunked
+/// one: id 8, cores 4, memory 8, app index 2, generation 1, full-node
+/// flag 1, and the two utilizations 8 each.
+pub(crate) const VM_RECORD_BYTES: usize = 40;
 
 /// A VM arrival/departure trace over a fixed horizon.
 #[derive(Debug, Clone, PartialEq)]
@@ -250,7 +254,8 @@ impl Trace {
     pub fn encode(&self) -> Result<Bytes, TraceCodecError> {
         let n_vms = ensure_u32(self.vms.len(), "VM")?;
         let n_events = ensure_u32(self.events.len(), "event")?;
-        let mut buf = BytesMut::with_capacity(16 + self.vms.len() * 48 + self.events.len() * 17);
+        let mut buf =
+            BytesMut::with_capacity(22 + self.vms.len() * VM_RECORD_BYTES + self.events.len() * 17);
         buf.put_u32(MAGIC);
         buf.put_u16(VERSION);
         buf.put_f64(self.duration_s);
@@ -299,7 +304,7 @@ impl Trace {
         let duration_s = buf.get_f64();
         let n_vms = buf.get_u32() as usize;
         let n_events = buf.get_u32() as usize;
-        need(&buf, n_vms * 48)?;
+        need(&buf, n_vms * VM_RECORD_BYTES)?;
         let mut vms = Vec::with_capacity(n_vms);
         for _ in 0..n_vms {
             let id = buf.get_u64();
@@ -312,7 +317,12 @@ impl Trace {
                 3 => ServerGeneration::Gen3,
                 d => return Err(TraceCodecError::BadDiscriminant(d)),
             };
-            let full_node = buf.get_u8() != 0;
+            // Only 0 and 1 are booleans, as in the chunked reader.
+            let full_node = match buf.get_u8() {
+                0 => false,
+                1 => true,
+                d => return Err(TraceCodecError::BadDiscriminant(d)),
+            };
             let max_mem_util = buf.get_f64();
             let avg_cpu_util = buf.get_f64();
             vms.push(VmSpec {
@@ -813,14 +823,51 @@ mod tests {
         let mut dangling = raw.to_vec();
         let n = dangling.len();
         dangling[n - 1] = 0xEE;
-        assert!(matches!(Trace::decode(Bytes::from(dangling)), Err(TraceCodecError::Corrupt(_))));
-        // Corrupt an event time to NaN (event times start after the
-        // VM block: header 22 + 2 VMs × 48 bytes).
+        assert_eq!(
+            Trace::decode(Bytes::from(dangling)),
+            Err(TraceCodecError::Corrupt("event references an unknown VM"))
+        );
+        // Corrupt the first event time to NaN (event times start after
+        // the VM block: header 22 + 2 VMs × 40 bytes).
         let mut nan_time = raw.to_vec();
-        let event_time_off = 22 + 2 * 48;
+        let event_time_off = 22 + 2 * VM_RECORD_BYTES;
         nan_time[event_time_off..event_time_off + 8]
             .copy_from_slice(&f64::NAN.to_bits().to_be_bytes());
-        assert!(matches!(Trace::decode(Bytes::from(nan_time)), Err(TraceCodecError::Corrupt(_))));
+        assert_eq!(
+            Trace::decode(Bytes::from(nan_time)),
+            Err(TraceCodecError::Corrupt("event time is not finite"))
+        );
+    }
+
+    #[test]
+    fn decode_accepts_vm_blocks_longer_than_the_event_block() {
+        // 8·n_vms > 17·n_events: a guard that counted 48 bytes per VM
+        // record called both of these files truncated.
+        let one_vm = Trace::new(3600.0, vec![vm(0, 4)], Vec::new());
+        let three_vms = Trace::new(
+            3600.0,
+            vec![vm(0, 4), vm(1, 8), vm(2, 2)],
+            vec![VmEvent { time_s: 10.0, kind: VmEventKind::Arrival, vm_id: 1 }],
+        );
+        for trace in [one_vm, three_vms] {
+            let raw = trace.encode().unwrap();
+            assert_eq!(
+                raw.len(),
+                22 + trace.vms().len() * VM_RECORD_BYTES + trace.events().len() * 17
+            );
+            assert_eq!(Trace::decode(raw), Ok(trace));
+        }
+    }
+
+    #[test]
+    fn decode_rejects_a_full_node_byte_other_than_0_or_1() {
+        // The flag is byte 23 of the first VM record (id 8, cores 4,
+        // memory 8, app index 2, generation 1).
+        let mut raw = sample_trace().encode().unwrap().to_vec();
+        let flag_off = 22 + 23;
+        assert_eq!(raw[flag_off], 0);
+        raw[flag_off] = 2;
+        assert_eq!(Trace::decode(Bytes::from(raw)), Err(TraceCodecError::BadDiscriminant(2)));
     }
 
     #[test]
