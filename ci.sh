@@ -7,6 +7,17 @@ cargo fmt --check
 # every library crate warns on) to tests and benches; test modules
 # allow-list unwrap explicitly.
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::dbg_macro -D clippy::todo
+# No orphaned vendored crate: `cargo tree -i` exits non-zero for a
+# package nothing in the workspace depends on, so a stand-in left
+# behind after its last user went fails here. Each vendor/ directory is
+# named after its package.
+for dir in vendor/*/; do
+    name=$(basename "$dir")
+    if ! cargo tree -q --offline --workspace -e all -i "$name" > /dev/null; then
+        echo "vendor/$name: no workspace crate depends on it" >&2
+        exit 1
+    fi
+done
 # Static invariant catalog (DESIGN.md §10, §14): token rules (no
 # HashMap/HashSet or wall-clock/entropy in model code, no NaN-panicking
 # comparators, no float-literal equality, no panic!-family macros in

@@ -9,7 +9,9 @@ use gsf_vmalloc::{
     AllocationSim, ClusterConfig, FaultPlan, PlacementPolicy, PlacementRequest, PreparedTrace,
     ServerShape,
 };
-use gsf_workloads::{Trace, TraceGenerator, TraceParams, VmSpec};
+use gsf_workloads::{
+    decode_chunks, write_chunks, TraceGenerator, TraceParams, VmSpec, DEFAULT_CHUNK_EVENTS,
+};
 
 fn baseline_transform(vm: &VmSpec) -> PlacementRequest {
     PlacementRequest::baseline_only(vm)
@@ -76,13 +78,20 @@ fn sec2_characterize(c: &mut Criterion) {
     });
 }
 
-/// Trace codec round trip.
+/// Chunked trace codec round trip, at the default chunk size.
 fn trace_codec(c: &mut Criterion) {
     let trace = bench_trace();
-    let encoded = trace.encode().unwrap();
-    c.bench_function("trace_encode", |b| b.iter(|| black_box(trace.encode())));
-    c.bench_function("trace_decode", |b| {
-        b.iter(|| black_box(Trace::decode(encoded.clone()).unwrap()))
+    let mut encoded = Vec::new();
+    write_chunks(&trace, &mut encoded, DEFAULT_CHUNK_EVENTS).unwrap();
+    c.bench_function("trace_write_chunks", |b| {
+        b.iter(|| {
+            let mut out = Vec::with_capacity(encoded.len());
+            black_box(write_chunks(&trace, &mut out, DEFAULT_CHUNK_EVENTS).unwrap());
+            out
+        })
+    });
+    c.bench_function("trace_decode_chunks", |b| {
+        b.iter(|| black_box(decode_chunks(&encoded[..]).unwrap()))
     });
 }
 

@@ -13,8 +13,8 @@ use gsf_core::{
 use gsf_stats::rng::SeedFactory;
 use gsf_stats::table::{fmt_f, fmt_pct, Table};
 use gsf_workloads::{
-    decode_chunks, sniff_chunked, Trace, TraceChunkReader, TraceCodecError, TraceGenerator,
-    TraceParams, TraceStreamError, DEFAULT_CHUNK_EVENTS,
+    decode_chunks, Trace, TraceChunkReader, TraceGenerator, TraceParams, TraceStreamError,
+    DEFAULT_CHUNK_EVENTS,
 };
 use std::fmt;
 
@@ -40,9 +40,8 @@ pub enum CliError {
     Gsf(GsfError),
     /// Filesystem failure.
     Io(std::io::Error),
-    /// Trace decoding failure.
-    Trace(TraceCodecError),
-    /// Chunked trace stream failure (I/O, truncation, or corruption).
+    /// Trace file failure (I/O, truncation, a foreign format, or
+    /// corruption).
     Stream(TraceStreamError),
     /// Invalid fault-model parameter.
     Maintenance(gsf_maintenance::MaintenanceError),
@@ -68,7 +67,6 @@ impl fmt::Display for CliError {
             CliError::Carbon(e) => write!(f, "{e}"),
             CliError::Gsf(e) => write!(f, "{e}"),
             CliError::Io(e) => write!(f, "{e}"),
-            CliError::Trace(e) => write!(f, "{e}"),
             CliError::Stream(e) => write!(f, "{e}"),
             CliError::Maintenance(e) => write!(f, "{e}"),
             CliError::OutOfRange { flag, value, expected } => {
@@ -98,11 +96,6 @@ impl From<GsfError> for CliError {
 impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {
         CliError::Io(e)
-    }
-}
-impl From<TraceCodecError> for CliError {
-    fn from(e: TraceCodecError) -> Self {
-        CliError::Trace(e)
     }
 }
 impl From<TraceStreamError> for CliError {
@@ -255,8 +248,8 @@ pub fn help() -> String {
          \u{20}  report    --design efficient|cxl|full [--hours H] [--arrivals A] [--seed S]\n\
          \u{20}  search    [--workers N]            design-space exploration + Pareto front\n\
          \u{20}  tco                                TCO model over the SKU set\n\
-         \u{20}  gen-trace --out FILE [--hours H] [--arrivals A] [--seed S] [--diurnal A]\n\
          \u{20}  trace synth   --out FILE [--hours H] [--arrivals A] [--seed S] [--diurnal A] [--chunk-events N]\n\
+         \u{20}  gen-trace     the same as trace synth\n\
          \u{20}  trace inspect --trace FILE\n\
          \u{20}  replay    --trace FILE --design NAME\n\
          \u{20}  characterize [--trace FILE | --hours H --arrivals A --seed S]\n\
@@ -265,7 +258,7 @@ pub fn help() -> String {
          \u{20}  faults    --design NAME [--afr-scale X] [--fip F] [--years Y] [--fault-seed S]\n\
          \u{20}            [--topology N] [--domain-rate R] [--repair-days D] [--slo M] [--format text|json]\n\
          \u{20}  fleet     --design NAME [--traces N] [--workers N] [--shards K] [--hours H] [--seed S]\n\
-         \u{20}            [--trace-file FILE]   evaluate a trace file (chunked: streamed; legacy: in memory)\n\nSKUs: ",
+         \u{20}            [--trace-file FILE]   evaluate a trace file, streamed\n\nSKUs: ",
     );
     out.push_str(&SKU_NAMES.join(", "));
     out.push('\n');
@@ -288,8 +281,7 @@ pub fn run_command(args: &Args) -> Result<String, CliError> {
         "report" => report(args),
         "search" => search(args),
         "tco" => tco(),
-        "gen-trace" => gen_trace(args),
-        "trace synth" => trace_synth(args),
+        "trace synth" | "gen-trace" => trace_synth(args),
         "trace inspect" => trace_inspect(args),
         "trace" => Err(CliError::UnknownCommand("trace (expected synth or inspect)".to_string())),
         "replay" => replay(args),
@@ -436,30 +428,6 @@ fn tco() -> Result<String, CliError> {
     Ok(t.render_text())
 }
 
-fn gen_trace(args: &Args) -> Result<String, CliError> {
-    let out_path = args.get("out").ok_or_else(|| ArgError::MissingValue("out".into()))?.to_string();
-    let trace = trace_from(args)?;
-    std::fs::write(&out_path, trace.encode()?)?;
-    Ok(format!(
-        "wrote {} VMs / {} events over {:.0} h to {out_path}\n",
-        trace.vms().len(),
-        trace.events().len(),
-        trace.duration_s() / 3600.0
-    ))
-}
-
-/// Loads a trace file of either format, sniffed from its magic: the
-/// chunked streaming format (`trace synth`) or the legacy monolithic
-/// encoding (`gen-trace`).
-fn load_trace(path: &str) -> Result<Trace, CliError> {
-    let bytes = std::fs::read(path)?;
-    if sniff_chunked(&bytes) {
-        Ok(decode_chunks(&bytes[..])?)
-    } else {
-        Ok(Trace::decode(bytes::Bytes::from(bytes))?)
-    }
-}
-
 /// Synthesizes a trace straight to a chunked file: the generator's
 /// event stream goes through [`TraceGenerator::synthesize_streamed`],
 /// so peak memory is O(concurrency), never O(trace) — the path for
@@ -470,7 +438,7 @@ fn trace_synth(args: &Args) -> Result<String, CliError> {
     let (hours, arrivals) = synthesis_window(args)?;
     let seed = args.get_num("seed", 42u64)?;
     let diurnal = args.get_num("diurnal", 0.0)?;
-    let chunk_events: usize = args.get_num("chunk-events", DEFAULT_CHUNK_EVENTS)?;
+    let chunk_events = count_at_least(args, "chunk-events", DEFAULT_CHUNK_EVENTS, 1)?;
     let g = TraceGenerator::new(TraceParams {
         duration_hours: hours,
         arrivals_per_hour: arrivals,
@@ -478,23 +446,31 @@ fn trace_synth(args: &Args) -> Result<String, CliError> {
         ..TraceParams::default()
     });
     let mut out = std::io::BufWriter::new(std::fs::File::create(&out_path)?);
-    let digest =
-        g.synthesize_streamed(&SeedFactory::new(seed), 0, &mut out, chunk_events.max(1))?;
+    let digest = g.synthesize_streamed(&SeedFactory::new(seed), 0, &mut out, chunk_events)?;
     out.flush()?;
     // Read the file back through the verifying decoder: every chunk
     // hash and the footer digest are checked before we report success.
-    let (vms, events, _, verified) = scan_chunked(&out_path)?;
-    debug_assert_eq!(verified, digest);
+    let scan = scan_trace(&out_path)?;
+    debug_assert_eq!(scan.digest, digest);
     Ok(format!(
-        "synthesized {vms} VMs / {events} events over {hours:.0} h to {out_path} \
+        "synthesized {} VMs / {} events over {hours:.0} h to {out_path} \
          (chunked, digest {:016x}{:016x}, verified)\n",
-        digest.0, digest.1
+        scan.vms, scan.events, digest.0, digest.1
     ))
 }
 
-/// Streams a chunked trace file end to end, returning (VMs, events,
-/// chunks, digest) after verifying every chunk hash and the footer.
-fn scan_chunked(path: &str) -> Result<(u64, u64, u64, (u64, u64)), CliError> {
+/// What one verified pass over a trace file found.
+struct TraceScan {
+    duration_s: f64,
+    vms: u64,
+    events: u64,
+    chunks: u64,
+    digest: (u64, u64),
+}
+
+/// Streams a trace file end to end, verifying every chunk hash and the
+/// footer.
+fn scan_trace(path: &str) -> Result<TraceScan, CliError> {
     let file = std::fs::File::open(path)?;
     let mut reader = TraceChunkReader::new(std::io::BufReader::new(file))?;
     let mut chunks = 0u64;
@@ -503,79 +479,44 @@ fn scan_chunked(path: &str) -> Result<(u64, u64, u64, (u64, u64)), CliError> {
     }
     let (vms, events) = reader.totals().unwrap_or((0, 0));
     let digest = reader.content_hash().unwrap_or((0, 0));
-    Ok((vms, events, chunks, digest))
+    Ok(TraceScan { duration_s: reader.duration_s(), vms, events, chunks, digest })
 }
 
-/// Reports what a trace file contains without materializing it:
-/// chunked files are streamed (and fully verified) in bounded memory;
-/// legacy files are decoded.
+/// Reports what a trace file contains without materializing it, in one
+/// streamed pass that verifies every chunk.
 fn trace_inspect(args: &Args) -> Result<String, CliError> {
     let path = args.get("trace").ok_or_else(|| ArgError::MissingValue("trace".into()))?.to_string();
-    let mut prefix = [0u8; 8];
-    {
-        use std::io::Read as _;
-        let mut f = std::fs::File::open(&path)?;
-        let n = f.read(&mut prefix)?;
-        if sniff_chunked(&prefix[..n]) {
-            drop(f);
-            let file = std::fs::File::open(&path)?;
-            let duration_s = {
-                let reader = TraceChunkReader::new(std::io::BufReader::new(file))?;
-                reader.duration_s()
-            };
-            let (vms, events, chunks, digest) = scan_chunked(&path)?;
-            return Ok(format!(
-                "{path}: chunked trace\n  duration: {:.2} h\n  VMs:      {vms}\n  \
-                 events:   {events}\n  chunks:   {chunks}\n  digest:   {:016x}{:016x} (verified)\n",
-                duration_s / 3600.0,
-                digest.0,
-                digest.1
-            ));
-        }
-    }
-    let trace = load_trace(&path)?;
-    let digest = trace.content_hash();
+    let TraceScan { duration_s, vms, events, chunks, digest } = scan_trace(&path)?;
     Ok(format!(
-        "{path}: legacy trace\n  duration: {:.2} h\n  VMs:      {}\n  events:   {}\n  \
-         digest:   {:016x}{:016x}\n",
-        trace.duration_s() / 3600.0,
-        trace.vms().len(),
-        trace.events().len(),
+        "{path}: chunked trace\n  duration: {:.2} h\n  VMs:      {vms}\n  \
+         events:   {events}\n  chunks:   {chunks}\n  digest:   {:016x}{:016x} (verified)\n",
+        duration_s / 3600.0,
         digest.0,
         digest.1
     ))
 }
 
-/// Evaluates `design` on a trace file, down the path its format picks:
-/// a chunked file (`trace synth`) streams through
+/// Evaluates `design` on a trace file. The file streams through
 /// [`GsfPipeline::evaluate_streamed`] and is never materialized, so
-/// multi-week fleet traces evaluate in bounded memory; a legacy file
-/// (`gen-trace`) is decoded and evaluated in memory. The two paths are
-/// bit-identical (the `streamed_equivalence` suite). Returns the
-/// outcome, the trace's VM count, and the path taken.
+/// multi-week fleet traces evaluate in bounded memory. Returns the
+/// outcome and the trace's VM count.
 fn evaluate_file(
     pipeline: &GsfPipeline,
     design: &GreenSkuDesign,
     path: &str,
-) -> Result<(PipelineOutcome, u64, &'static str), CliError> {
-    use std::io::BufRead as _;
-    let mut input = std::io::BufReader::new(std::fs::File::open(path)?);
-    if sniff_chunked(input.fill_buf()?) {
-        let mut reader = TraceChunkReader::new(input)?;
-        let o = pipeline.evaluate_streamed(design, &mut reader)?;
-        let (vms, _) = reader.totals().unwrap_or((0, 0));
-        Ok((o, vms, "streamed"))
-    } else {
-        let trace = load_trace(path)?;
-        Ok((pipeline.evaluate(design, &trace)?, trace.vms().len() as u64, "in-memory"))
-    }
+) -> Result<(PipelineOutcome, u64), CliError> {
+    let file = std::fs::File::open(path)?;
+    let mut reader = TraceChunkReader::new(std::io::BufReader::new(file))?;
+    let o = pipeline.evaluate_streamed(design, &mut reader)?;
+    let (vms, _) = reader.totals().unwrap_or((0, 0));
+    Ok((o, vms))
 }
 
 fn replay(args: &Args) -> Result<String, CliError> {
     let path = args.get("trace").ok_or_else(|| ArgError::MissingValue("trace".into()))?.to_string();
     let design = design_by_name(args.get_or("design", "full"))?;
     let pipeline = GsfPipeline::new(PipelineConfig::default());
-    let (o, vms, _) = evaluate_file(&pipeline, &design, &path)?;
+    let (o, vms) = evaluate_file(&pipeline, &design, &path)?;
     Ok(format!(
         "{} on {} VMs:\n  plan: {} baseline + {} GreenSKU (buffered {} + {})\n  \
          adoption {:.1}%  cluster savings {:.1}%  DC savings {:.1}%\n",
@@ -593,7 +534,7 @@ fn replay(args: &Args) -> Result<String, CliError> {
 
 fn characterize_cmd(args: &Args) -> Result<String, CliError> {
     let trace = match args.get("trace") {
-        Some(path) => load_trace(path)?,
+        Some(path) => decode_chunks(std::io::BufReader::new(std::fs::File::open(path)?))?,
         None => trace_from(args)?,
     };
     Ok(gsf_workloads::characterize(&trace).render())
@@ -870,14 +811,14 @@ fn faults_cmd(args: &Args) -> Result<String, CliError> {
 }
 
 /// `gsf fleet --trace-file FILE`: evaluate one on-disk trace, streamed
-/// or in memory as its format picks (see [`evaluate_file`]).
+/// (see [`evaluate_file`]).
 fn fleet_file_cmd(args: &Args, path: &str) -> Result<String, CliError> {
     let design = design_by_name(args.get_or("design", "full"))?;
     let shards = shard_count(args)?;
     let pipeline = GsfPipeline::new(PipelineConfig { shards, ..PipelineConfig::default() });
-    let (o, vms, mode) = evaluate_file(&pipeline, &design, path)?;
+    let (o, vms) = evaluate_file(&pipeline, &design, path)?;
     Ok(format!(
-        "{} on {path} ({vms} VMs, {mode}):\n  plan: {} baseline + {} GreenSKU (buffered {} + {})\n  \
+        "{} on {path} ({vms} VMs):\n  plan: {} baseline + {} GreenSKU (buffered {} + {})\n  \
          adoption {:.1}%  cluster savings {:.1}%  DC savings {:.1}%\n",
         o.design,
         o.plan.baseline,
@@ -928,6 +869,7 @@ fn fleet_cmd(args: &Args) -> Result<String, CliError> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use gsf_workloads::TraceCodecError;
 
     fn run(argv: &[&str]) -> Result<String, CliError> {
         run_command(&Args::parse(argv.iter().copied()).unwrap())
@@ -991,61 +933,83 @@ mod tests {
 
     #[test]
     fn gen_trace_and_replay_roundtrip() {
-        let path = std::env::temp_dir().join(format!("gsf-cli-{}.bin", std::process::id()));
+        let path = std::env::temp_dir().join(format!("gsf-cli-{}.gst", std::process::id()));
         let path_str = path.to_str().unwrap();
         let out =
             run(&["gen-trace", "--out", path_str, "--hours", "8", "--arrivals", "40"]).unwrap();
-        assert!(out.contains("wrote"));
+        assert!(out.contains("verified"), "{out}");
         let out = run(&["replay", "--trace", path_str, "--design", "full"]).unwrap();
         assert!(out.contains("cluster savings"), "{out}");
         std::fs::remove_file(path).ok();
     }
 
     #[test]
-    fn trace_synth_inspect_and_streamed_fleet_agree() {
-        let path = std::env::temp_dir().join(format!("gsf-cli-chunked-{}.gst", std::process::id()));
-        let p = path.to_str().unwrap();
-        let out = run(&["trace", "synth", "--out", p, "--hours", "6", "--arrivals", "30"]).unwrap();
-        assert!(out.contains("chunked"), "{out}");
-        assert!(out.contains("verified"), "{out}");
+    fn gen_trace_and_trace_synth_write_the_same_trace() {
+        let tmp = |name: &str| {
+            std::env::temp_dir().join(format!("gsf-cli-{name}-{}.gst", std::process::id()))
+        };
+        let (synth, gen) = (tmp("synth"), tmp("gen"));
+        let (p, g) = (synth.to_str().unwrap(), gen.to_str().unwrap());
+        let window = ["--hours", "6", "--arrivals", "30", "--seed", "5"];
+        let write = |cmd: &[&str], out: &str| {
+            let mut argv = cmd.to_vec();
+            argv.extend_from_slice(&["--out", out]);
+            argv.extend_from_slice(&window);
+            run(&argv).unwrap()
+        };
+        let out = write(&["trace", "synth"], p);
+        assert!(out.contains("chunked") && out.contains("verified"), "{out}");
+        write(&["gen-trace"], g);
+        // The two names run one command: the same flags write the same
+        // bytes.
+        assert_eq!(std::fs::read(&synth).unwrap(), std::fs::read(&gen).unwrap());
+        std::fs::remove_file(&gen).ok();
 
         let inspect = run(&["trace", "inspect", "--trace", p]).unwrap();
         assert!(inspect.contains("chunked trace"), "{inspect}");
         assert!(inspect.contains("verified"), "{inspect}");
 
-        // The chunked file streams, the legacy file of the same trace
-        // (same seed and window) loads in memory, and both print
-        // identical numbers.
-        let legacy =
-            std::env::temp_dir().join(format!("gsf-cli-legacy-twin-{}.bin", std::process::id()));
-        let l = legacy.to_str().unwrap();
-        run(&["gen-trace", "--out", l, "--hours", "6", "--arrivals", "30"]).unwrap();
-        let fleet = |file: &str| run(&["fleet", "--trace-file", file, "--design", "full"]);
-        let (streamed, in_memory) = (fleet(p).unwrap(), fleet(l).unwrap());
-        assert!(streamed.contains("streamed"), "{streamed}");
-        assert!(in_memory.contains("in-memory"), "{in_memory}");
-        let numbers = |s: &str| s.split_once(":\n").unwrap().1.to_string();
-        assert_eq!(numbers(&streamed), numbers(&in_memory), "{streamed} vs {in_memory}");
-        std::fs::remove_file(legacy).ok();
+        // The file holds the trace `characterize` generates from the
+        // same flags.
+        let mut argv = vec!["characterize"];
+        argv.extend_from_slice(&window);
+        assert_eq!(run(&["characterize", "--trace", p]).unwrap(), run(&argv).unwrap());
 
-        // The replay and characterize commands sniff the chunked
-        // format too.
-        let replayed = run(&["replay", "--trace", p, "--design", "full"]).unwrap();
-        assert!(replayed.contains("cluster savings"), "{replayed}");
-        std::fs::remove_file(path).ok();
+        let fleet = run(&["fleet", "--trace-file", p, "--design", "full"]).unwrap();
+        assert!(fleet.contains(" VMs):"), "{fleet}");
+        assert!(fleet.contains("cluster savings"), "{fleet}");
+        std::fs::remove_file(synth).ok();
     }
 
     #[test]
-    fn trace_inspect_handles_legacy_files() {
-        let path = std::env::temp_dir().join(format!("gsf-cli-legacy-{}.bin", std::process::id()));
+    fn foreign_trace_files_fail_typed_at_every_command() {
+        // The header of the retired single-blob format: its magic,
+        // version 2, then 16 zero bytes (horizon and both counts).
+        let path = std::env::temp_dir().join(format!("gsf-cli-foreign-{}.bin", std::process::id()));
         let p = path.to_str().unwrap();
-        run(&["gen-trace", "--out", p, "--hours", "4", "--arrivals", "20"]).unwrap();
-        let inspect = run(&["trace", "inspect", "--trace", p]).unwrap();
-        assert!(inspect.contains("legacy trace"), "{inspect}");
+        let mut raw = 0x6753_5447u32.to_be_bytes().to_vec();
+        raw.extend_from_slice(&2u16.to_be_bytes());
+        raw.extend_from_slice(&[0; 16]);
+        std::fs::write(&path, raw).unwrap();
+        for argv in [
+            &["trace", "inspect", "--trace", p][..],
+            &["replay", "--trace", p, "--design", "full"],
+            &["characterize", "--trace", p],
+            &["fleet", "--trace-file", p, "--design", "full"],
+        ] {
+            let result = run(argv);
+            assert!(
+                matches!(
+                    result,
+                    Err(CliError::Stream(TraceStreamError::Codec(TraceCodecError::BadMagic)))
+                ),
+                "{argv:?}: {result:?}"
+            );
+        }
+        std::fs::remove_file(path).ok();
         // A bare `trace` is an unknown command with a hint.
         let e = run(&["trace"]).unwrap_err();
         assert!(e.to_string().contains("synth"), "{e}");
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -1261,6 +1225,14 @@ mod tests {
         let path = std::env::temp_dir().join(format!("gsf-cli-inf-{}.gst", std::process::id()));
         let argv = ["trace", "synth", "--out", path.to_str().unwrap(), "--hours", "inf"];
         assert_out_of_range(&argv, "hours");
+        assert!(!path.exists(), "a rejected trace must not be written");
+    }
+
+    #[test]
+    fn trace_synth_rejects_zero_chunk_events_without_writing() {
+        let path = std::env::temp_dir().join(format!("gsf-cli-chunk0-{}.gst", std::process::id()));
+        let argv = ["trace", "synth", "--out", path.to_str().unwrap(), "--chunk-events", "0"];
+        assert_out_of_range(&argv, "chunk-events");
         assert!(!path.exists(), "a rejected trace must not be written");
     }
 

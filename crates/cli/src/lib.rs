@@ -12,10 +12,12 @@
 //! gsf report --design full [--hours 24] [--arrivals 80] [--seed 42]
 //! gsf search
 //! gsf tco
-//! gsf gen-trace --out trace.bin [--hours 24] [--arrivals 80] [--seed 42]
-//! gsf replay --trace trace.bin --design full
+//! gsf trace synth --out trace.gst [--hours 24] [--arrivals 80] [--seed 42]   (alias: gen-trace)
+//! gsf trace inspect --trace trace.gst
+//! gsf replay --trace trace.gst --design full
 //! gsf faults --design full [--afr-scale 1] [--fip 0.75] [--years 1] [--fault-seed 7]
 //! gsf fleet --design full [--traces 4] [--workers N] [--hours 24] [--seed 42]
+//! gsf fleet --design full --trace-file trace.gst
 //! ```
 
 #![warn(missing_docs)]

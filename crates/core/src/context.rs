@@ -124,10 +124,10 @@ impl KeyWriter {
 /// sharded and unsharded sizings have different semantics and must
 /// never share an entry.
 ///
-/// The key used to embed the *entire trace byte stream*
-/// (`w.bytes(&trace.encode())`), making every cache probe O(trace) to
-/// build, hash, and compare — on fleet-sized traces the key machinery
-/// cost more than some of the probes it memoized. The content hash
+/// The key used to embed the *entire encoded trace byte stream*,
+/// making every cache probe O(trace) to build, hash, and compare — on
+/// fleet-sized traces the key machinery cost more than some of the
+/// probes it memoized. The content hash
 /// keeps the key O(1)-sized; hashing still walks the trace once, but
 /// without allocating the encode buffer, and equality checks are now
 /// constant-time. The hash covers every encoded field bit-for-bit, so
@@ -713,7 +713,8 @@ mod tests {
     fn content_hash_keys_preserve_hit_miss_behavior() {
         // The content-hash keys must hit exactly when the byte-stream
         // keys hit: a structurally identical trace (rebuilt through the
-        // codec, different allocation) hits; any field change misses.
+        // chunked codec, different allocation) hits; any field change
+        // misses.
         use gsf_stats::rng::SeedFactory;
         use gsf_workloads::{TraceGenerator, TraceParams};
         let trace = TraceGenerator::new(TraceParams {
@@ -722,7 +723,9 @@ mod tests {
             ..TraceParams::default()
         })
         .generate(&SeedFactory::new(9), 0);
-        let rebuilt = Trace::decode(trace.encode().unwrap()).unwrap();
+        let mut chunked = Vec::new();
+        gsf_workloads::write_chunks(&trace, &mut chunked, 16).unwrap();
+        let rebuilt = gsf_workloads::decode_chunks(&chunked[..]).unwrap();
         let other = TraceGenerator::new(TraceParams {
             duration_hours: 1.0,
             arrivals_per_hour: 8.0,

@@ -1,22 +1,27 @@
-//! Streaming chunked columnar trace codec (`TraceChunks`).
+//! Streaming chunked columnar trace codec (`TraceChunks`), the one
+//! on-disk trace format.
 //!
-//! The legacy [`Trace::encode`] format serializes a fully-materialized
-//! trace into one flat buffer; at fleet scale (millions of VMs over
-//! multi-week horizons) neither the producer nor the consumer can hold
-//! the whole trace. This module defines a chunked format streamed over
-//! [`std::io::Write`] / [`std::io::BufRead`]:
+//! At fleet scale (millions of VMs over multi-week horizons) neither the
+//! producer nor the consumer can hold the whole trace, so the format is
+//! streamed over [`std::io::Write`] / [`std::io::BufRead`]:
 //!
 //! ```text
 //! header   := MAGIC:u32 "GSTC" | VERSION:u16 | duration_s:f64
 //! block    := CHUNK_TAG:u8 chunk | FOOTER_TAG:u8 footer
 //! chunk    := n_vms:u32 | n_events:u32 | running_hash:(u64,u64)
-//!             | vm_record × n_vms          (row-major, 40 B each,
-//!                                           same layout as legacy)
+//!             | vm_record × n_vms          (row-major, 40 B each)
 //!             | time_s:f64 × n_events      (columnar event block)
 //!             | kind:u8    × n_events
 //!             | slot:u32   × n_events
+//! vm_record := id:u64 | cores:u32 | mem_gb:f64 | app_index:u16
+//!             | generation:u8 | full_node:u8 | max_mem_util:f64
+//!             | avg_cpu_util:f64
 //! footer   := total_vms:u64 | total_events:u64 | digest:(u64,u64)
 //! ```
+//!
+//! All integers and float bit patterns are big-endian. A file without
+//! the `GSTC` magic fails at its header with
+//! [`TraceCodecError::BadMagic`].
 //!
 //! Events reference VMs by **dense slot** — the 0-based index of the VM
 //! in push order across the whole stream — so the consumer never needs
@@ -41,7 +46,6 @@
 
 use crate::trace::{
     ensure_u32, generation_code, kind_code, validate_vm, Trace, TraceCodecError, TraceHasher,
-    VM_RECORD_BYTES,
 };
 use crate::vm::{ServerGeneration, VmEvent, VmEventKind, VmSpec};
 use std::fmt;
@@ -55,6 +59,9 @@ const CHUNK_VERSION: u16 = 1;
 const CHUNK_TAG: u8 = 0x01;
 /// Block tag introducing the footer.
 const FOOTER_TAG: u8 = 0x00;
+/// Bytes of one encoded VM record: id 8, cores 4, memory 8, app index
+/// 2, generation 1, full-node flag 1, and the two utilizations 8 each.
+const VM_RECORD_BYTES: usize = 40;
 
 /// Default number of events per chunk (~850 KB of column data).
 pub const DEFAULT_CHUNK_EVENTS: usize = 65_536;
@@ -89,8 +96,8 @@ impl std::error::Error for TraceStreamError {
 
 impl From<std::io::Error> for TraceStreamError {
     fn from(e: std::io::Error) -> Self {
-        // A clean EOF mid-record is indistinguishable from a truncated
-        // buffer in the legacy codec; surface it the same way.
+        // A clean EOF mid-record means the stream was cut short:
+        // surface it as the codec's typed truncation, not as I/O.
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             TraceStreamError::Codec(TraceCodecError::Truncated)
         } else {
@@ -103,13 +110,6 @@ impl From<TraceCodecError> for TraceStreamError {
     fn from(e: TraceCodecError) -> Self {
         TraceStreamError::Codec(e)
     }
-}
-
-/// Returns true when a buffer prefix carries the chunked-format magic
-/// (used by the CLI to dispatch between the legacy and chunked
-/// decoders without extension conventions).
-pub fn sniff_chunked(prefix: &[u8]) -> bool {
-    prefix.len() >= 4 && prefix[..4] == CHUNK_MAGIC.to_be_bytes()
 }
 
 /// One event in a chunk, referencing its VM by dense slot.
@@ -574,7 +574,7 @@ pub fn write_chunks<W: Write>(
 }
 
 /// Decodes a chunked stream into a materialized [`Trace`] (through the
-/// same [`Trace::try_new`] gate as the legacy decoder).
+/// same [`Trace::try_new`] gate as hand-built traces).
 ///
 /// # Errors
 ///
@@ -596,8 +596,8 @@ pub fn decode_chunks<R: BufRead>(input: R) -> Result<Trace, TraceStreamError> {
     Ok(trace)
 }
 
-/// Primitive big-endian readers over [`Read`] (matching the
-/// `bytes::BufMut` big-endian layout of the legacy codec).
+/// Primitive big-endian readers over [`Read`] (the byte order the
+/// writer uses for every field).
 fn read_u8<R: Read>(r: &mut R) -> Result<u8, std::io::Error> {
     let mut b = [0u8; 1];
     r.read_exact(&mut b)?;
@@ -682,16 +682,6 @@ mod tests {
         while reader.next_chunk().unwrap().is_some() {}
         assert_eq!(reader.content_hash(), Some(t.content_hash()));
         assert_eq!(reader.totals(), Some((t.vms().len() as u64, t.events().len() as u64)));
-    }
-
-    #[test]
-    fn sniffs_chunked_vs_legacy() {
-        let t = sample_trace();
-        let chunked = encode_chunked(&t, 4);
-        let legacy = t.encode().unwrap();
-        assert!(sniff_chunked(&chunked));
-        assert!(!sniff_chunked(&legacy));
-        assert!(!sniff_chunked(b"xy"));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!    the published scaling-factor matrix for comparison.
 //! 3. **Trace synthesis** ([`tracegen`]): Azure-like VM arrival/departure
 //!    traces standing in for the proprietary production traces (see
-//!    DESIGN.md, substitution 2), with a compact binary codec
-//!    ([`trace`]).
+//!    DESIGN.md, substitution 2), held in memory as a [`trace::Trace`]
+//!    and stored as a verified chunked stream ([`chunks`]).
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
@@ -32,8 +32,8 @@ pub mod vm;
 pub use app::{ApplicationModel, ServiceProfile};
 pub use characterize::{characterize, TraceProfile};
 pub use chunks::{
-    decode_chunks, sniff_chunked, write_chunks, ChunkEvent, TraceChunk, TraceChunkReader,
-    TraceChunkWriter, TraceStreamError, DEFAULT_CHUNK_EVENTS,
+    decode_chunks, write_chunks, ChunkEvent, TraceChunk, TraceChunkReader, TraceChunkWriter,
+    TraceStreamError, DEFAULT_CHUNK_EVENTS,
 };
 pub use class::AppClass;
 pub use fleet::FleetMix;

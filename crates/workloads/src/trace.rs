@@ -1,21 +1,20 @@
-//! VM trace container and compact binary codec.
+//! VM trace container, its validating constructor and its content hash.
 //!
-//! Traces can be large (tens of thousands of VMs × 35 cluster traces);
-//! the codec packs them into a flat [`bytes::Bytes`] buffer so sweeps can
-//! cache generated traces cheaply.
+//! Traces can be large (tens of thousands of VMs × 35 cluster traces).
+//! On disk they take one format, the chunked stream of [`crate::chunks`];
+//! in memory a trace is identified by [`Trace::content_hash`], which the
+//! `EvalContext` caches key on and every chunk of a stream carries a
+//! running copy of.
 
 use crate::vm::{ServerGeneration, VmEvent, VmEventKind, VmSpec};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 
-/// Magic bytes identifying the trace format.
-const MAGIC: u32 = 0x6753_5447; // "GSTG"
-/// Codec version.
-const VERSION: u16 = 2;
-/// Bytes of one encoded VM record, in this codec and in the chunked
-/// one: id 8, cores 4, memory 8, app index 2, generation 1, full-node
-/// flag 1, and the two utilizations 8 each.
-pub(crate) const VM_RECORD_BYTES: usize = 40;
+/// The first word [`TraceHasher::digest`] absorbs. It packs the magic
+/// ("GSTG") and version of a single-blob codec that has since been
+/// retired, so the value is kept as it was: changing it changes every
+/// content hash, and with them every cache key, the benchmark's pinned
+/// digests and the digests stored inside every chunked file on disk.
+const HASH_TAG: u64 = 0x6753_5447 << 16 | 2;
 
 /// A VM arrival/departure trace over a fixed horizon.
 #[derive(Debug, Clone, PartialEq)]
@@ -222,11 +221,11 @@ impl Trace {
         (peak_cores.max(0) as u64, peak_mem.max(0.0))
     }
 
-    /// A 128-bit structural content hash over the same canonical field
-    /// layout as [`Self::encode`], computed without materializing the
-    /// byte buffer. Two traces hash equal iff their encodings are
-    /// byte-identical (floats compare by bit pattern), so the hash
-    /// stands in for the encoded stream wherever only identity matters
+    /// A 128-bit structural content hash over every field of the trace,
+    /// computed without encoding it. Two traces hash equal iff they are
+    /// identical field for field (floats compare by bit pattern), which
+    /// is also when their chunked encodings at one chunk size are, so
+    /// the hash stands in for the trace wherever only identity matters
     /// — the `EvalContext` caches in `gsf-core` key on it instead of
     /// embedding O(trace) bytes into every cache entry.
     ///
@@ -242,115 +241,6 @@ impl Trace {
             h.push_event(e.time_s, e.kind, e.vm_id);
         }
         h.digest(self.duration_s)
-    }
-
-    /// Serializes the trace to a compact binary buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceCodecError::TooLarge`] when a record count exceeds
-    /// the header's `u32` length fields (it would otherwise truncate
-    /// silently and decode into a different trace).
-    pub fn encode(&self) -> Result<Bytes, TraceCodecError> {
-        let n_vms = ensure_u32(self.vms.len(), "VM")?;
-        let n_events = ensure_u32(self.events.len(), "event")?;
-        let mut buf =
-            BytesMut::with_capacity(22 + self.vms.len() * VM_RECORD_BYTES + self.events.len() * 17);
-        buf.put_u32(MAGIC);
-        buf.put_u16(VERSION);
-        buf.put_f64(self.duration_s);
-        buf.put_u32(n_vms);
-        buf.put_u32(n_events);
-        for vm in &self.vms {
-            buf.put_u64(vm.id);
-            buf.put_u32(vm.cores);
-            buf.put_f64(vm.mem_gb);
-            buf.put_u16(vm.app_index);
-            buf.put_u8(generation_code(vm.generation));
-            buf.put_u8(u8::from(vm.full_node));
-            buf.put_f64(vm.max_mem_util);
-            buf.put_f64(vm.avg_cpu_util);
-        }
-        for e in &self.events {
-            buf.put_f64(e.time_s);
-            buf.put_u8(kind_code(e.kind));
-            buf.put_u64(e.vm_id);
-        }
-        Ok(buf.freeze())
-    }
-
-    /// Deserializes a trace produced by [`Trace::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TraceCodecError`] for truncated, foreign, or corrupt
-    /// buffers.
-    pub fn decode(mut buf: Bytes) -> Result<Self, TraceCodecError> {
-        fn need(buf: &Bytes, n: usize) -> Result<(), TraceCodecError> {
-            if buf.remaining() < n {
-                Err(TraceCodecError::Truncated)
-            } else {
-                Ok(())
-            }
-        }
-        need(&buf, 22)?;
-        if buf.get_u32() != MAGIC {
-            return Err(TraceCodecError::BadMagic);
-        }
-        let version = buf.get_u16();
-        if version != VERSION {
-            return Err(TraceCodecError::BadVersion(version));
-        }
-        let duration_s = buf.get_f64();
-        let n_vms = buf.get_u32() as usize;
-        let n_events = buf.get_u32() as usize;
-        need(&buf, n_vms * VM_RECORD_BYTES)?;
-        let mut vms = Vec::with_capacity(n_vms);
-        for _ in 0..n_vms {
-            let id = buf.get_u64();
-            let cores = buf.get_u32();
-            let mem_gb = buf.get_f64();
-            let app_index = buf.get_u16();
-            let generation = match buf.get_u8() {
-                1 => ServerGeneration::Gen1,
-                2 => ServerGeneration::Gen2,
-                3 => ServerGeneration::Gen3,
-                d => return Err(TraceCodecError::BadDiscriminant(d)),
-            };
-            // Only 0 and 1 are booleans, as in the chunked reader.
-            let full_node = match buf.get_u8() {
-                0 => false,
-                1 => true,
-                d => return Err(TraceCodecError::BadDiscriminant(d)),
-            };
-            let max_mem_util = buf.get_f64();
-            let avg_cpu_util = buf.get_f64();
-            vms.push(VmSpec {
-                id,
-                cores,
-                mem_gb,
-                app_index,
-                generation,
-                full_node,
-                max_mem_util,
-                avg_cpu_util,
-            });
-        }
-        need(&buf, n_events * 17)?;
-        let mut events = Vec::with_capacity(n_events);
-        for _ in 0..n_events {
-            let time_s = buf.get_f64();
-            let kind = match buf.get_u8() {
-                0 => VmEventKind::Arrival,
-                1 => VmEventKind::Departure,
-                d => return Err(TraceCodecError::BadDiscriminant(d)),
-            };
-            let vm_id = buf.get_u64();
-            events.push(VmEvent { time_s, kind, vm_id });
-        }
-        // Semantic validation (finite numbers, known VM ids) lives in
-        // `try_new`, so hand-built and decoded traces face one gate.
-        Trace::try_new(duration_s, vms, events)
     }
 }
 
@@ -383,8 +273,8 @@ pub(crate) fn ensure_u32(n: usize, what: &'static str) -> Result<u32, TraceCodec
     u32::try_from(n).map_err(|_| TraceCodecError::TooLarge(what))
 }
 
-/// Wire discriminant for a server generation (shared by the legacy and
-/// chunked codecs and the content hash).
+/// Wire discriminant for a server generation (shared by the chunked
+/// codec and the content hash).
 pub(crate) fn generation_code(generation: ServerGeneration) -> u8 {
     match generation {
         ServerGeneration::Gen1 => 1,
@@ -479,7 +369,7 @@ impl TraceHasher {
         let (va, vb) = self.vm_lane.finish();
         let (ea, eb) = self.event_lane.finish();
         let mut h = ContentHasher::new();
-        h.absorb(u64::from(MAGIC) << 16 | u64::from(VERSION));
+        h.absorb(HASH_TAG);
         h.absorb(duration_s.to_bits());
         h.absorb(self.n_vms);
         h.absorb(self.n_events);
@@ -545,6 +435,14 @@ fn departure_first(kind: VmEventKind) -> u8 {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::chunks::{decode_chunks, write_chunks};
+
+    /// The trace's chunked encoding, two events to a chunk.
+    fn encode(t: &Trace) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_chunks(t, &mut buf, 2).unwrap();
+        buf
+    }
 
     fn vm(id: u64, cores: u32) -> VmSpec {
         VmSpec {
@@ -616,20 +514,22 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_codec() {
-        let t = sample_trace();
-        let decoded = Trace::decode(t.encode().unwrap()).unwrap();
-        assert_eq!(t, decoded);
-    }
-
-    #[test]
     fn content_hash_is_stable_across_clone_and_codec() {
         let t = sample_trace();
         let h = t.content_hash();
         assert_eq!(h, t.content_hash(), "hashing is pure");
         assert_eq!(h, t.clone().content_hash());
-        assert_eq!(h, Trace::decode(t.encode().unwrap()).unwrap().content_hash());
+        assert_eq!(h, decode_chunks(&encode(&t)[..]).unwrap().content_hash());
         assert_ne!(h, (0, 0));
+    }
+
+    #[test]
+    fn content_hash_is_pinned() {
+        // Cache keys, the benchmark's pinned digests and the digests
+        // inside every chunked file on disk are all this function's
+        // output: any change to the hash tag or the absorbed words
+        // shows here first.
+        assert_eq!(sample_trace().content_hash(), (0x9dac_8e7e_b9bc_41a4, 0x8174_6180_266b_3ef4));
     }
 
     #[test]
@@ -694,9 +594,9 @@ mod tests {
         }
         // Hash agrees with encoded-bytes equality in both directions.
         for v in &variants {
-            assert_ne!(v.encode().unwrap(), base.encode().unwrap());
+            assert_ne!(encode(v), encode(&base));
         }
-        assert_eq!(h0, Trace::decode(base.encode().unwrap()).unwrap().content_hash());
+        assert_eq!(h0, decode_chunks(&encode(&base)[..]).unwrap().content_hash());
     }
 
     /// Regression for the packed-word hash: the old layout absorbed
@@ -783,91 +683,6 @@ mod tests {
         assert_eq!(ensure_u32(usize::MAX, "event"), Err(TraceCodecError::TooLarge("event")));
         let msg = TraceCodecError::TooLarge("event").to_string();
         assert!(msg.contains("too large"), "{msg}");
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert_eq!(Trace::decode(Bytes::from_static(b"xx")), Err(TraceCodecError::Truncated));
-        let mut bad = BytesMut::new();
-        bad.put_u32(0xdead_beef);
-        bad.put_u16(1);
-        bad.put_f64(0.0);
-        bad.put_u32(0);
-        bad.put_u32(0);
-        assert_eq!(Trace::decode(bad.freeze()), Err(TraceCodecError::BadMagic));
-    }
-
-    #[test]
-    fn decode_rejects_bad_version() {
-        let t = sample_trace();
-        let mut raw = BytesMut::from(&t.encode().unwrap()[..]);
-        raw[4] = 9;
-        raw[5] = 9;
-        assert!(matches!(Trace::decode(raw.freeze()), Err(TraceCodecError::BadVersion(_))));
-    }
-
-    #[test]
-    fn decode_rejects_truncation_everywhere() {
-        let full = sample_trace().encode().unwrap();
-        for cut in 1..full.len() {
-            let sliced = full.slice(0..cut);
-            assert!(Trace::decode(sliced).is_err(), "cut at {cut} should fail");
-        }
-    }
-
-    #[test]
-    fn decode_rejects_dangling_events_and_nan_times() {
-        let t = sample_trace();
-        let raw = t.encode().unwrap();
-        // Corrupt the last event's vm_id (final 8 bytes).
-        let mut dangling = raw.to_vec();
-        let n = dangling.len();
-        dangling[n - 1] = 0xEE;
-        assert_eq!(
-            Trace::decode(Bytes::from(dangling)),
-            Err(TraceCodecError::Corrupt("event references an unknown VM"))
-        );
-        // Corrupt the first event time to NaN (event times start after
-        // the VM block: header 22 + 2 VMs × 40 bytes).
-        let mut nan_time = raw.to_vec();
-        let event_time_off = 22 + 2 * VM_RECORD_BYTES;
-        nan_time[event_time_off..event_time_off + 8]
-            .copy_from_slice(&f64::NAN.to_bits().to_be_bytes());
-        assert_eq!(
-            Trace::decode(Bytes::from(nan_time)),
-            Err(TraceCodecError::Corrupt("event time is not finite"))
-        );
-    }
-
-    #[test]
-    fn decode_accepts_vm_blocks_longer_than_the_event_block() {
-        // 8·n_vms > 17·n_events: a guard that counted 48 bytes per VM
-        // record called both of these files truncated.
-        let one_vm = Trace::new(3600.0, vec![vm(0, 4)], Vec::new());
-        let three_vms = Trace::new(
-            3600.0,
-            vec![vm(0, 4), vm(1, 8), vm(2, 2)],
-            vec![VmEvent { time_s: 10.0, kind: VmEventKind::Arrival, vm_id: 1 }],
-        );
-        for trace in [one_vm, three_vms] {
-            let raw = trace.encode().unwrap();
-            assert_eq!(
-                raw.len(),
-                22 + trace.vms().len() * VM_RECORD_BYTES + trace.events().len() * 17
-            );
-            assert_eq!(Trace::decode(raw), Ok(trace));
-        }
-    }
-
-    #[test]
-    fn decode_rejects_a_full_node_byte_other_than_0_or_1() {
-        // The flag is byte 23 of the first VM record (id 8, cores 4,
-        // memory 8, app index 2, generation 1).
-        let mut raw = sample_trace().encode().unwrap().to_vec();
-        let flag_off = 22 + 23;
-        assert_eq!(raw[flag_off], 0);
-        raw[flag_off] = 2;
-        assert_eq!(Trace::decode(Bytes::from(raw)), Err(TraceCodecError::BadDiscriminant(2)));
     }
 
     #[test]

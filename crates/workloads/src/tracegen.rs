@@ -571,12 +571,4 @@ mod tests {
         assert_eq!(crate::chunks::decode_chunks(&buf[..]).unwrap(), in_memory);
         assert_eq!(digest, in_memory.content_hash());
     }
-
-    #[test]
-    fn codec_roundtrip_on_generated_trace() {
-        let g = TraceGenerator::new(small_params());
-        let trace = g.generate(&SeedFactory::new(8), 2);
-        let decoded = Trace::decode(trace.encode().unwrap()).unwrap();
-        assert_eq!(trace, decoded);
-    }
 }

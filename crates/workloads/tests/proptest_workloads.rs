@@ -1,7 +1,7 @@
 //! Property tests for workload and trace generation.
 
 use gsf_stats::rng::SeedFactory;
-use gsf_workloads::{Trace, TraceGenerator, TraceParams, VmEventKind};
+use gsf_workloads::{decode_chunks, write_chunks, TraceGenerator, TraceParams, VmEventKind};
 use proptest::prelude::*;
 
 fn params(arrivals: f64, hours: f64, diurnal: f64, full_node: f64) -> TraceParams {
@@ -59,18 +59,14 @@ proptest! {
     ) {
         let g = TraceGenerator::new(params(arrivals, 6.0, 0.3, 0.01));
         let trace = g.generate(&SeedFactory::new(seed), index);
-        // Legacy: encode → decode → encode is bitwise stable.
-        let raw = trace.encode().unwrap();
-        let decoded = Trace::decode(raw.clone()).unwrap();
-        prop_assert_eq!(raw, decoded.encode().unwrap());
-        prop_assert_eq!(&trace, &decoded);
-        // Chunked: same property, at an arbitrary chunk size.
+        // Encode → decode → encode is bitwise stable at an arbitrary
+        // chunk size.
         let chunk_events = 1 + (seed as usize % 3000);
         let mut chunked = Vec::new();
-        let digest = gsf_workloads::write_chunks(&trace, &mut chunked, chunk_events).unwrap();
-        let from_chunks = gsf_workloads::decode_chunks(&chunked[..]).unwrap();
+        let digest = write_chunks(&trace, &mut chunked, chunk_events).unwrap();
+        let from_chunks = decode_chunks(&chunked[..]).unwrap();
         let mut reencoded = Vec::new();
-        gsf_workloads::write_chunks(&from_chunks, &mut reencoded, chunk_events).unwrap();
+        write_chunks(&from_chunks, &mut reencoded, chunk_events).unwrap();
         prop_assert_eq!(&chunked, &reencoded);
         prop_assert_eq!(&trace, &from_chunks);
         // The streamed digest is the in-memory content hash.
@@ -90,7 +86,7 @@ proptest! {
         let in_memory = g.generate(&seeds, 0);
         let mut buf = Vec::new();
         let digest = g.synthesize_streamed(&seeds, 0, &mut buf, chunk_events).unwrap();
-        let decoded = gsf_workloads::decode_chunks(&buf[..]).unwrap();
+        let decoded = decode_chunks(&buf[..]).unwrap();
         prop_assert_eq!(&in_memory, &decoded);
         prop_assert_eq!(digest, in_memory.content_hash());
     }
@@ -130,32 +126,6 @@ proptest! {
     }
 
     #[test]
-    fn decoder_never_panics_on_arbitrary_bytes(
-        bytes in prop::collection::vec(any::<u8>(), 0..400),
-    ) {
-        // Fuzz the codec: any byte soup must yield Err, never a panic.
-        let _ = Trace::decode(bytes::Bytes::from(bytes));
-    }
-
-    #[test]
-    fn decoder_never_panics_on_corrupted_valid_traces(
-        arrivals in 5.0..30.0f64,
-        seed in 0u64..100,
-        flip_at in 0usize..200,
-        flip_to in 0u8..=255,
-    ) {
-        let g = TraceGenerator::new(params(arrivals, 4.0, 0.0, 0.0));
-        let trace = g.generate(&SeedFactory::new(seed), 0);
-        let mut raw = trace.encode().unwrap().to_vec();
-        if !raw.is_empty() {
-            let i = flip_at % raw.len();
-            raw[i] = flip_to;
-        }
-        // Either decodes to *something* or errors — never panics.
-        let _ = Trace::decode(bytes::Bytes::from(raw));
-    }
-
-    #[test]
     fn distinct_indices_give_distinct_traces(
         seed in 0u64..200,
         i in 0u64..4,
@@ -165,5 +135,43 @@ proptest! {
         let a = g.generate(&SeedFactory::new(seed), i);
         let b = g.generate(&SeedFactory::new(seed), j);
         prop_assert_ne!(a, b);
+    }
+}
+
+// The decoder is every trace file's only way in, so it gets the default
+// 256 cases rather than the 32 above.
+proptest! {
+    #[test]
+    fn decoder_rejects_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..400),
+    ) {
+        // Fuzz the codec: any byte soup must yield Err, never a panic.
+        prop_assert!(decode_chunks(&bytes[..]).is_err());
+    }
+
+    #[test]
+    fn decoder_rejects_any_overwritten_byte(
+        arrivals in 5.0..30.0f64,
+        seed in 0u64..100,
+        chunk_events in 1usize..64,
+        at in any::<usize>(),
+        value in any::<u8>(),
+    ) {
+        let g = TraceGenerator::new(params(arrivals, 4.0, 0.0, 0.0));
+        let trace = g.generate(&SeedFactory::new(seed), 0);
+        let mut raw = Vec::new();
+        write_chunks(&trace, &mut raw, chunk_events).unwrap();
+        // Overwrite one byte anywhere in the file: a changed byte must
+        // fail typed, an unchanged one must decode to the same trace.
+        let i = at % raw.len();
+        let changed = raw[i] != value;
+        raw[i] = value;
+        match decode_chunks(&raw[..]) {
+            Ok(decoded) => {
+                prop_assert!(!changed, "byte {i} of {} set to {value:#04x} decoded", raw.len());
+                prop_assert_eq!(&decoded, &trace);
+            }
+            Err(e) => prop_assert!(changed, "unchanged file failed: {e}"),
+        }
     }
 }

@@ -13,7 +13,8 @@ use greensku::vmalloc::{
     ServerState, VmArena,
 };
 use greensku::workloads::{
-    HardwareSensitivity, ServerGeneration, Trace, VmEvent, VmEventKind, VmSpec,
+    decode_chunks, write_chunks, HardwareSensitivity, ServerGeneration, Trace, TraceChunkReader,
+    TraceCodecError, TraceHasher, TraceStreamError, VmEvent, VmEventKind, VmSpec,
 };
 use proptest::prelude::*;
 
@@ -166,9 +167,10 @@ proptest! {
 
     #[test]
     fn trace_codec_roundtrip(
-        // `Trace::try_new` (the decode gate) rejects empty VM lists, so
-        // the roundtrip property quantifies over non-empty traces; the
-        // empty case is pinned by `empty_trace_fails_decode` below.
+        // The chunk writer and `Trace::try_new` (the decode gate) both
+        // reject empty VM lists, so the roundtrip property quantifies
+        // over non-empty traces; the empty case is pinned by
+        // `empty_trace_fails_decode` below.
         n_vms in 1usize..40,
         seed in 0u64..1000,
     ) {
@@ -202,8 +204,9 @@ proptest! {
             });
         }
         let trace = Trace::new(250.0, vms, events);
-        let decoded = Trace::decode(trace.encode().unwrap()).unwrap();
-        prop_assert_eq!(trace, decoded);
+        let mut raw = Vec::new();
+        write_chunks(&trace, &mut raw, 1 + seed as usize % 64).unwrap();
+        prop_assert_eq!(trace, decode_chunks(&raw[..]).unwrap());
     }
 
     #[test]
@@ -316,6 +319,24 @@ proptest! {
 
 #[test]
 fn empty_trace_fails_decode() {
+    // The writer refuses to store a trace without VMs ...
     let empty = Trace::new(250.0, vec![], vec![]);
-    assert!(Trace::decode(empty.encode().unwrap()).is_err());
+    assert!(write_chunks(&empty, Vec::new(), 64).is_err());
+    // ... and the reader, which the streamed pipeline trusts without
+    // `Trace::try_new`, refuses a hand-made stream of one: the header
+    // (magic, version 1, horizon), then a footer whose totals and
+    // digest are those of no VMs and no events.
+    let mut raw = 0x6753_5443u32.to_be_bytes().to_vec();
+    raw.extend_from_slice(&1u16.to_be_bytes());
+    raw.extend_from_slice(&250f64.to_bits().to_be_bytes());
+    raw.push(0);
+    raw.extend_from_slice(&[0; 16]);
+    let (a, b) = TraceHasher::new().digest(250.0);
+    raw.extend_from_slice(&a.to_be_bytes());
+    raw.extend_from_slice(&b.to_be_bytes());
+    let mut reader = TraceChunkReader::new(&raw[..]).unwrap();
+    assert!(matches!(
+        reader.next_chunk(),
+        Err(TraceStreamError::Codec(TraceCodecError::Corrupt("trace has no VMs")))
+    ));
 }
