@@ -4,8 +4,10 @@ set -euo pipefail
 
 cargo fmt --check
 # --all-targets extends the gates (including clippy::unwrap_used, which
-# every library crate warns on) to tests and benches; test modules
-# allow-list unwrap explicitly.
+# every library crate warns on) to tests and examples; test modules
+# allow-list unwrap explicitly. Every library crate also warns on
+# unused_crate_dependencies, so -D warnings fails on a dependency that a
+# crate declares but no longer uses.
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::dbg_macro -D clippy::todo
 # No orphaned vendored crate: `cargo tree -i` exits non-zero for a
 # package nothing in the workspace depends on, so a stand-in left
@@ -39,7 +41,9 @@ else
     echo "gsf-lint: non-baselined findings (see results/lint_report.json)" >&2
     exit "$status"
 fi
-cargo build --release
+# --locked: a manifest change committed without its Cargo.lock fails
+# here instead of silently rewriting the lock file.
+cargo build --release --locked
 # --workspace: a bare `cargo test` from the root only tests the root
 # package (integration suites), silently skipping every crate.
 cargo test -q --workspace

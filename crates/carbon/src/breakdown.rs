@@ -20,7 +20,6 @@
 //! intensity** and scaled by the effective renewables mix at query time.
 
 use crate::component::ComponentClass;
-use serde::{Deserialize, Serialize};
 
 /// Lifecycle carbon intensity of renewable energy relative to the grid.
 pub const RENEWABLE_CI_FRACTION: f64 = 0.03;
@@ -29,7 +28,7 @@ pub const RENEWABLE_CI_FRACTION: f64 = 0.03;
 pub const DEFAULT_RENEWABLE_FRACTION: f64 = 0.6;
 
 /// Top-level emission categories of Fig. 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FleetCategory {
     /// General-purpose compute servers.
     ComputeServers,
@@ -68,7 +67,7 @@ impl FleetCategory {
 }
 
 /// Calibrated fleet composition (relative units; see module docs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetModel {
     /// Operational emissions at grid CI, per compute-server component.
     compute_op_at_grid: Vec<(ComponentClass, f64)>,
@@ -193,7 +192,7 @@ impl FleetModel {
 }
 
 /// Emissions of one top-level category (relative units).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CategoryEmissions {
     /// The category.
     pub category: FleetCategory,
@@ -211,7 +210,7 @@ impl CategoryEmissions {
 }
 
 /// Emissions of one compute-server component class (relative units).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CategoryEmissions2 {
     /// The component class.
     pub class: ComponentClass,
@@ -229,7 +228,7 @@ impl CategoryEmissions2 {
 }
 
 /// A computed Fig. 1 breakdown.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetBreakdown {
     /// The renewables fraction used.
     pub renewable_fraction: f64,

@@ -2,11 +2,10 @@
 
 use crate::error::CarbonError;
 use crate::units::{KgCo2e, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Broad class of a server component, used for breakdowns (Fig. 1) and
 /// for maintenance accounting (DIMM/SSD counts drive server AFR).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComponentClass {
     /// Central processing unit.
     Cpu,
@@ -67,7 +66,7 @@ impl std::fmt::Display for ComponentClass {
 /// the embodied contribution is `quantity × embodied_per_unit`, forced to
 /// zero for components flagged `reused` (second-life accounting, following
 /// the paper's treatment of reused DIMMs and SSDs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentSpec {
     name: String,
     class: ComponentClass,

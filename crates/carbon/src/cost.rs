@@ -16,11 +16,10 @@ use crate::error::CarbonError;
 use crate::params::ModelParams;
 use crate::rack::RackFill;
 use crate::server::ServerSpec;
-use serde::{Deserialize, Serialize};
 
 /// Per-unit component prices (USD per the component's natural unit —
 /// socket, GB, TB, card).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
     /// Price per CPU socket.
     pub cpu_per_socket: f64,
@@ -73,7 +72,7 @@ impl CostParams {
 }
 
 /// A TCO assessment mirroring the carbon model's per-core output.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostAssessment {
     /// Capital expenditure per core (server + rack share), USD.
     pub capex_per_core: f64,

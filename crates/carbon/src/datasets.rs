@@ -32,10 +32,9 @@ use crate::component::{ComponentClass, ComponentSpec};
 use crate::error::CarbonError;
 use crate::server::ServerSpec;
 use crate::units::{KgCo2e, Watts};
-use serde::{Deserialize, Serialize};
 
 /// CPU characteristics row of the paper's Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuCharacteristics {
     /// Marketing name (e.g. "Bergamo").
     pub name: &'static str,

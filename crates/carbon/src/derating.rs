@@ -7,14 +7,12 @@
 //! load→power curve, so the carbon model can be evaluated at any fleet
 //! utilization — the §II underutilization discussion made quantitative.
 
-use serde::{Deserialize, Serialize};
-
 /// A piecewise-linear load→power-fraction curve.
 ///
 /// Points are `(load_fraction, power_fraction_of_tdp)`, sorted by load.
 /// Server power is famously non-proportional: idle servers draw a large
 /// fraction of peak power, which is why underutilization is so costly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeratingCurve {
     points: Vec<(f64, f64)>,
 }

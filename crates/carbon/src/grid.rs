@@ -11,13 +11,12 @@
 //! paper cites cares about.
 
 use crate::units::CarbonIntensity;
-use serde::{Deserialize, Serialize};
 
 /// Lifecycle carbon intensity of renewable generation (kg CO₂e/kWh).
 pub const RENEWABLE_LIFECYCLE_CI: f64 = 0.012;
 
 /// One data-center region's energy profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionGrid {
     /// Region name.
     pub name: &'static str,

@@ -33,6 +33,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod breakdown;
 pub mod component;

@@ -11,10 +11,9 @@
 use crate::component::ComponentSpec;
 use crate::server::ServerSpec;
 use crate::units::{KgCo2e, Years};
-use serde::{Deserialize, Serialize};
 
 /// Lifetime ratings per component class used by the normalization.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentLifetimes {
     /// CPU rated lifetime, years.
     pub cpu: f64,

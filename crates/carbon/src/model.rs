@@ -5,7 +5,6 @@ use crate::params::ModelParams;
 use crate::rack::RackFill;
 use crate::server::ServerSpec;
 use crate::units::{KgCo2e, Watts};
-use serde::{Deserialize, Serialize};
 
 /// The carbon model component of GSF.
 ///
@@ -18,7 +17,7 @@ pub struct CarbonModel {
 
 /// The result of assessing one SKU: operational and embodied emissions
 /// amortized per core over the server lifetime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Assessment {
     sku: String,
     servers_per_rack: u32,
@@ -72,7 +71,7 @@ impl Assessment {
 
 /// Relative savings of a GreenSKU against a baseline SKU, per core
 /// (the rows of Tables IV and VIII).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SavingsReport {
     /// Fractional operational savings (positive = GreenSKU better).
     pub operational: f64,

@@ -3,10 +3,9 @@
 
 use crate::error::CarbonError;
 use crate::units::{CarbonIntensity, KgCo2e, Watts, Years};
-use serde::{Deserialize, Serialize};
 
 /// Rack-level constraints and overheads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RackParams {
     /// Rack space available for servers, in U (Table VI: 42U − 10U
     /// overhead = 32U).
@@ -68,7 +67,7 @@ impl RackParams {
 /// per-rack shares below are **calibrated** so that the open-source
 /// reproduction (Table VIII) lands on the published savings — see
 /// `DESIGN.md` §1 (substitution 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataCenterOverheads {
     /// Power usage effectiveness multiplier applied to IT power.
     pub pue: f64,
@@ -132,7 +131,7 @@ impl DataCenterOverheads {
 
 /// All parameters the carbon model needs (the paper's Table VI plus the
 /// DC overheads).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelParams {
     /// Grid carbon intensity of the consumed energy.
     pub carbon_intensity: CarbonIntensity,

@@ -3,7 +3,6 @@
 use crate::component::{ComponentClass, ComponentSpec};
 use crate::error::CarbonError;
 use crate::units::{Gigabytes, KgCo2e, Terabytes, Watts};
-use serde::{Deserialize, Serialize};
 
 /// A compute-server SKU as the carbon model sees it: a named bill of
 /// materials with core count and physical form factor.
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// Build one with [`ServerSpec::builder`]. The paper's SKU configurations
 /// (Baseline, Baseline-Resized, GreenSKU-Efficient/-CXL/-Full) ship in
 /// [`crate::datasets`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerSpec {
     name: String,
     cores: u32,

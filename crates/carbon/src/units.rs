@@ -5,7 +5,6 @@
 //! confused (a `Watts` can never be added to a `KgCo2e`) while remaining
 //! zero-cost `f64` wrappers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -13,7 +12,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 macro_rules! unit {
     ($(#[$meta:meta])* $name:ident, $suffix:expr) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(f64);
 
         impl $name {
@@ -126,7 +125,7 @@ unit!(
 );
 
 /// Grid carbon intensity in kg CO₂e per kWh.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct CarbonIntensity(f64);
 
 impl CarbonIntensity {

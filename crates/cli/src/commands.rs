@@ -13,8 +13,8 @@ use gsf_core::{
 use gsf_stats::rng::SeedFactory;
 use gsf_stats::table::{fmt_f, fmt_pct, Table};
 use gsf_workloads::{
-    decode_chunks, Trace, TraceChunkReader, TraceGenerator, TraceParams, TraceStreamError,
-    DEFAULT_CHUNK_EVENTS,
+    decode_chunks, Trace, TraceChunkReader, TraceCodecError, TraceGenerator, TraceParams,
+    TraceStreamError, DEFAULT_CHUNK_EVENTS,
 };
 use std::fmt;
 
@@ -67,7 +67,17 @@ impl fmt::Display for CliError {
             CliError::Carbon(e) => write!(f, "{e}"),
             CliError::Gsf(e) => write!(f, "{e}"),
             CliError::Io(e) => write!(f, "{e}"),
-            CliError::Stream(e) => write!(f, "{e}"),
+            CliError::Stream(e) => {
+                write!(f, "{e}")?;
+                if matches!(e, TraceStreamError::Codec(TraceCodecError::BadMagic)) {
+                    write!(
+                        f,
+                        "; a file written by an older `gen-trace` is in a retired format: \
+                         rerun `gen-trace` with the same flags to regenerate it"
+                    )?;
+                }
+                Ok(())
+            }
             CliError::Maintenance(e) => write!(f, "{e}"),
             CliError::OutOfRange { flag, value, expected } => {
                 write!(f, "--{flag} {value} is out of range: expected {expected}")
@@ -869,7 +879,6 @@ fn fleet_cmd(args: &Args) -> Result<String, CliError> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use gsf_workloads::TraceCodecError;
 
     fn run(argv: &[&str]) -> Result<String, CliError> {
         run_command(&Args::parse(argv.iter().copied()).unwrap())
@@ -1005,6 +1014,8 @@ mod tests {
                 ),
                 "{argv:?}: {result:?}"
             );
+            let message = result.unwrap_err().to_string();
+            assert!(message.contains("rerun `gen-trace` with the same flags"), "{message}");
         }
         std::fs::remove_file(path).ok();
         // A bare `trace` is an unknown command with a hint.

@@ -22,6 +22,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod args;
 pub mod commands;

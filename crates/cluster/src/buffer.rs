@@ -8,11 +8,10 @@
 //! being carbon-inefficient.
 
 use crate::sizing::ClusterPlan;
-use serde::{Deserialize, Serialize};
 
 /// Growth-buffer policy: spare capacity as a fraction of the serving
 /// capacity, provisioned on baseline SKUs only.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GrowthBufferPolicy {
     /// Buffer capacity as a fraction of serving-core capacity (e.g. 0.1
     /// = 10 % headroom).

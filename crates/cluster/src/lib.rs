@@ -15,6 +15,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod buffer;
 pub mod parallel;

@@ -1,10 +1,10 @@
 //! Parallel per-trace execution for the 35-trace packing studies.
 //!
-//! Uses crossbeam scoped threads with a shared work index behind a
-//! `parking_lot` mutex; results return in trace order regardless of
+//! Uses `std::thread::scope` workers that claim items from one shared
+//! iterator behind a mutex; results return in trace order regardless of
 //! which worker ran them.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// The default worker count for parallel sweeps: the machine's
 /// available parallelism, or 1 when that cannot be determined.
@@ -36,7 +36,7 @@ where
 /// Applies `f` to every item with **exclusive** access, on a pool of
 /// worker threads, returning results in input order. The sharded replay
 /// driver runs `&mut` shard tasks through this. A single worker runs
-/// inline and work is claimed from a shared index, so the result vector
+/// inline and work is claimed from a shared queue, so the result vector
 /// is identical for any worker count whenever `f` is deterministic per
 /// item.
 ///
@@ -60,31 +60,35 @@ where
         // 1-CPU machines) free of threading overhead.
         return items.iter_mut().enumerate().map(|(i, item)| f(i, item)).collect();
     }
-    let n = items.len();
-    let next = Mutex::new(0usize);
-    // Each slot hands its `&mut T` to exactly one worker.
-    let slots: Vec<Mutex<Option<&mut T>>> =
-        items.iter_mut().map(|item| Mutex::new(Some(item))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let i = {
-                    let mut guard = next.lock();
-                    let i = *guard;
-                    if i >= n {
-                        break;
+    // Workers claim `(index, &mut item)` pairs from one shared iterator,
+    // so each item goes to exactly one worker, and keep their results
+    // with the index they came from.
+    let queue = Mutex::new(items.iter_mut().enumerate());
+    // The guard drops before `claim` returns, so `f` never runs under
+    // the lock: a guard held across the loop body would run the workers
+    // one at a time.
+    let claim = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+    let per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    while let Some((i, item)) = claim() {
+                        done.push((i, f(i, item)));
                     }
-                    *guard += 1;
-                    i
-                };
-                let item = slots[i].lock().take().expect("each index is claimed once");
-                *results[i].lock() = Some(f(i, item));
-            });
-        }
-    })
-    .expect("worker threads do not panic");
-    results.into_iter().map(|slot| slot.into_inner().expect("every index was processed")).collect()
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("worker threads do not panic"))
+            .collect()
+    });
+    // Each index was claimed exactly once: sorting restores input order.
+    let mut results: Vec<(usize, R)> = per_worker.into_iter().flatten().collect();
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
@@ -199,6 +203,25 @@ mod tests {
     fn mut_variant_empty_input() {
         let out: Vec<u64> = map_parallel_mut(&mut Vec::<u64>::new(), 4, |_, &mut x| x);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn workers_run_items_concurrently() {
+        // Each call waits (up to 10 s) for the other to arrive. A pool
+        // that ran `f` one item at a time, say under the queue lock,
+        // would see only its own arrival.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+        let arrived = AtomicUsize::new(0);
+        let seen = map_parallel(&[0u8, 1], 2, |_, _| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while arrived.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            arrived.load(Ordering::SeqCst)
+        });
+        assert_eq!(seen, vec![2, 2], "both items must be in flight at once");
     }
 
     #[test]

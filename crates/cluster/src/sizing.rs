@@ -22,7 +22,6 @@ use gsf_vmalloc::{
     AllocationSim, ClusterConfig, FaultPlan, FaultSummary, GreenLimit, HighWaterMarks,
     PlacementPolicy, PreparedTrace, RunEnd, ServerShape, ShardedSim, SimOutcome,
 };
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Availability SLO for the fault-aware sizing searches: instead of
@@ -30,7 +29,7 @@ use std::fmt;
 /// a bounded amount of measured downtime. A tighter bound (smaller
 /// `max_vm_minutes_lost`) shrinks the feasible set, so the resulting
 /// cluster can only grow — the searches stay monotone.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvailabilitySlo {
     /// Maximum tolerated VM-minutes of downtime over the replay
     /// (queue wait of displaced VMs; `0.0` is as strict as the
@@ -77,7 +76,7 @@ impl FaultInjection<'_> {
 }
 
 /// The sized cluster: how many of each SKU the workload needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterPlan {
     /// Baseline servers required.
     pub baseline: u32,

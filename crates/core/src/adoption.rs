@@ -11,11 +11,10 @@ use crate::components::{CarbonComponent, PerformanceComponent};
 use gsf_carbon::{Assessment, CarbonError, ServerSpec};
 use gsf_perf::ScalingFactor;
 use gsf_workloads::{ApplicationModel, ServerGeneration};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The outcome of an adoption decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdoptionDecision {
     /// Run on the GreenSKU, scaling VM cores and memory by `factor`.
     Adopt {

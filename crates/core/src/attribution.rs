@@ -11,10 +11,9 @@
 use gsf_carbon::Assessment;
 use gsf_vmalloc::UsageLedger;
 use gsf_workloads::ApplicationModel;
-use serde::{Deserialize, Serialize};
 
 /// Carbon attributed to one application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppAttribution {
     /// Application name.
     pub app: String,
@@ -27,7 +26,7 @@ pub struct AppAttribution {
 }
 
 /// A full attribution report for one replayed cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttributionReport {
     /// Per-application rows, descending by attributed emissions.
     pub apps: Vec<AppAttribution>,

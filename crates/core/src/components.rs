@@ -105,7 +105,7 @@ impl DefaultMaintenance {
         Self { afrs: ComponentAfrs::paper(), fip: FipPolicy::paper(), repair_days: 5.0 }
     }
 
-    /// Overrides the FIP policy (for the ablation benches).
+    /// Overrides the FIP policy.
     pub fn with_fip(mut self, fip: FipPolicy) -> Self {
         self.fip = fip;
         self

@@ -29,13 +29,14 @@ use gsf_carbon::{Assessment, CarbonError, ModelParams, ServerSpec};
 use gsf_cluster::sizing::ClusterPlan;
 use gsf_vmalloc::{FaultSummary, PlacementPolicy, PreparedTrace, ServerShape, SimOutcome};
 use gsf_workloads::ServerGeneration;
-use parking_lot::Mutex;
 // gsf-lint: allow-file(D1) -- the memo caches below are pure point lookups
 // keyed by bit-exact hashes; they are never iterated, so their order cannot
 // reach any model output (CacheStats only reads lengths and counters).
 use std::collections::HashMap;
+use std::convert::Infallible;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Structural cache key: the bit-exact content of a
 /// `(ModelParams, ServerSpec)` pair, flattened into words.
@@ -257,6 +258,68 @@ impl CacheStats {
     }
 }
 
+/// One memo table with its hit and miss counters: the lookup protocol
+/// every cached stage of [`EvalContext`] shares. `map` is `None` in
+/// pass-through mode, where every lookup computes and counts a miss.
+#[derive(Debug)]
+struct Memo<K, V> {
+    map: Option<Mutex<HashMap<K, Arc<V>>>>,
+    hits: AtomicUsize,
+    misses: AtomicUsize,
+}
+
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Self {
+        Self { map: None, hits: AtomicUsize::new(0), misses: AtomicUsize::new(0) }
+    }
+}
+
+impl<K: Eq + Hash, V> Memo<K, V> {
+    fn caching() -> Self {
+        Self { map: Some(Mutex::new(HashMap::new())), ..Self::default() }
+    }
+
+    /// The value stored under `key`, or `compute`'s value, stored for
+    /// the next lookup. `compute` runs outside the lock: misses are the
+    /// expensive path and other workers should not serialize behind
+    /// them. A racing duplicate computes the same value bit-for-bit, so
+    /// last-write-wins insertion is harmless. Failures are never stored.
+    fn get_or_compute<E>(
+        &self,
+        key: K,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
+        let Some(map) = &self.map else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return compute().map(Arc::new);
+        };
+        if let Some(hit) = lock(map).get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(hit));
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let value = Arc::new(compute()?);
+        lock(map).insert(key, Arc::clone(&value));
+        Ok(value)
+    }
+
+    /// `(hits, misses, entries)`.
+    fn counts(&self) -> (usize, usize, usize) {
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+            self.map.as_ref().map_or(0, |map| lock(map).len()),
+        )
+    }
+}
+
+/// Locks a memo map. A panic in a worker holding the lock cannot leave
+/// the map half-updated (each update is one `insert`), so a poisoned
+/// lock is recovered rather than propagated.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Thread-safe assessment cache shared across pipeline stages, design
 /// candidates, and worker threads.
 ///
@@ -264,32 +327,21 @@ impl CacheStats {
 /// and pass it to [`crate::pipeline::GsfPipeline::with_context`] /
 /// [`crate::search::evaluate_space_with`]. [`EvalContext::uncached`]
 /// builds a pass-through context that always recomputes — the reference
-/// path for A/B tests and benches.
+/// path for A/B tests.
 #[derive(Debug, Default)]
 pub struct EvalContext {
-    /// `None` disables caching (pass-through mode).
-    cache: Option<Mutex<HashMap<AssessmentKey, Arc<Assessment>>>>,
-    /// Memoized sizing searches + replays; `None` in pass-through mode.
-    sizing: Option<Mutex<HashMap<SizingKey, Arc<SizingOutcome>>>>,
-    /// Memoized prepared replay plans; `None` in pass-through mode.
-    prepared: Option<Mutex<HashMap<PreparedKey, Arc<PreparedTrace>>>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    sizing_hits: AtomicUsize,
-    sizing_misses: AtomicUsize,
-    prepared_hits: AtomicUsize,
-    prepared_misses: AtomicUsize,
+    /// Memoized carbon assessments.
+    assessments: Memo<AssessmentKey, Assessment>,
+    /// Memoized sizing searches + replays.
+    sizing: Memo<SizingKey, SizingOutcome>,
+    /// Memoized prepared replay plans.
+    prepared: Memo<PreparedKey, PreparedTrace>,
 }
 
 impl EvalContext {
     /// A caching context.
     pub fn new() -> Self {
-        Self {
-            cache: Some(Mutex::new(HashMap::new())),
-            sizing: Some(Mutex::new(HashMap::new())),
-            prepared: Some(Mutex::new(HashMap::new())),
-            ..Self::default()
-        }
+        Self { assessments: Memo::caching(), sizing: Memo::caching(), prepared: Memo::caching() }
     }
 
     /// A pass-through context that recomputes every assessment and
@@ -300,7 +352,7 @@ impl EvalContext {
 
     /// Whether this context caches.
     pub fn is_caching(&self) -> bool {
-        self.cache.is_some()
+        self.assessments.map.is_some()
     }
 
     /// Assesses `sku` under `params`, returning the cached assessment
@@ -314,23 +366,9 @@ impl EvalContext {
         params: &ModelParams,
         sku: &ServerSpec,
     ) -> Result<Arc<Assessment>, CarbonError> {
-        let Some(cache) = &self.cache else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::new(DefaultCarbon::new(*params).assess(sku)?));
-        };
-        let key = AssessmentKey::of(params, sku);
-        if let Some(hit) = cache.lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(hit));
-        }
-        // Assess outside the lock: misses are the expensive path and
-        // other workers should not serialize behind them. A racing
-        // duplicate computes the same value bit-for-bit, so last-write
-        // -wins insertion is harmless.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let assessment = Arc::new(DefaultCarbon::new(*params).assess(sku)?);
-        cache.lock().insert(key, Arc::clone(&assessment));
-        Ok(assessment)
+        self.assessments.get_or_compute(AssessmentKey::of(params, sku), || {
+            DefaultCarbon::new(*params).assess(sku)
+        })
     }
 
     /// The Gen1–Gen3 baseline assessments under `params`, each served
@@ -393,10 +431,6 @@ impl EvalContext {
         shards: usize,
         compute: impl FnOnce() -> Result<SizingOutcome, E>,
     ) -> Result<Arc<SizingOutcome>, E> {
-        let Some(sizing) = &self.sizing else {
-            self.sizing_misses.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::new(compute()?));
-        };
         let key = SizingKey::of(
             trace_hash,
             decision_signature,
@@ -407,16 +441,7 @@ impl EvalContext {
             fault_signature,
             shards,
         );
-        if let Some(hit) = sizing.lock().get(&key) {
-            self.sizing_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(hit));
-        }
-        // Compute outside the lock (see `assess`): racing duplicates
-        // produce the same value bit-for-bit.
-        self.sizing_misses.fetch_add(1, Ordering::Relaxed);
-        let outcome = Arc::new(compute()?);
-        sizing.lock().insert(key, Arc::clone(&outcome));
-        Ok(outcome)
+        self.sizing.get_or_compute(key, compute)
     }
 
     /// Builds (or replays) the prepared trace plan for one
@@ -437,35 +462,26 @@ impl EvalContext {
         decision_signature: &[u64],
         build: impl FnOnce() -> PreparedTrace,
     ) -> Arc<PreparedTrace> {
-        let Some(prepared) = &self.prepared else {
-            self.prepared_misses.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(build());
-        };
         let key = PreparedKey::of(trace_hash, decision_signature);
-        if let Some(hit) = prepared.lock().get(&key) {
-            self.prepared_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        // Build outside the lock (see `assess`): racing duplicates
-        // produce the same plan bit-for-bit.
-        self.prepared_misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(build());
-        prepared.lock().insert(key, Arc::clone(&plan));
+        let Ok(plan) = self.prepared.get_or_compute(key, || Ok::<_, Infallible>(build()));
         plan
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
+        let (hits, misses, entries) = self.assessments.counts();
+        let (sizing_hits, sizing_misses, sizing_entries) = self.sizing.counts();
+        let (prepared_hits, prepared_misses, prepared_entries) = self.prepared.counts();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.cache.as_ref().map_or(0, |c| c.lock().len()),
-            sizing_hits: self.sizing_hits.load(Ordering::Relaxed),
-            sizing_misses: self.sizing_misses.load(Ordering::Relaxed),
-            sizing_entries: self.sizing.as_ref().map_or(0, |c| c.lock().len()),
-            prepared_hits: self.prepared_hits.load(Ordering::Relaxed),
-            prepared_misses: self.prepared_misses.load(Ordering::Relaxed),
-            prepared_entries: self.prepared.as_ref().map_or(0, |c| c.lock().len()),
+            hits,
+            misses,
+            entries,
+            sizing_hits,
+            sizing_misses,
+            sizing_entries,
+            prepared_hits,
+            prepared_misses,
+            prepared_entries,
         }
     }
 }

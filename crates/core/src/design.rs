@@ -5,12 +5,9 @@
 use gsf_carbon::datasets::open_source;
 use gsf_carbon::ServerSpec;
 use gsf_perf::{MemoryPlacement, SkuPerfProfile};
-use serde::Serialize;
 
 /// A candidate SKU under evaluation.
-// Deserialize is intentionally not derived: the perf profile borrows
-// `'static` names, so designs are constructed in code, not loaded.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GreenSkuDesign {
     /// Bill of materials for the carbon model.
     pub carbon: ServerSpec,

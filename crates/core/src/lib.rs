@@ -44,6 +44,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod adoption;
 pub mod attribution;

@@ -26,7 +26,6 @@ use gsf_vmalloc::{
 use gsf_workloads::{
     catalog, ApplicationModel, FleetMix, ServerGeneration, Trace, TraceChunkReader, VmSpec,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Pipeline configuration: the GSF inputs that are not the trace or the
@@ -94,7 +93,7 @@ impl Default for PipelineConfig {
 /// Equality is exact (bitwise on the floating-point fields): the
 /// pipeline is deterministic, so cached and uncached contexts — and any
 /// worker count — must produce identical outcomes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineOutcome {
     /// The evaluated design's name.
     pub design: String,
@@ -250,7 +249,7 @@ impl VmRouter {
 
 /// Aggregated pipeline outcomes across a fleet of cluster traces (the
 /// data-center view: many clusters, one design decision).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetOutcome {
     /// Per-trace outcomes, in input order.
     pub per_trace: Vec<PipelineOutcome>,

@@ -28,10 +28,9 @@ use gsf_carbon::{ModelParams, ServerSpec};
 use gsf_cluster::parallel::{default_workers, map_parallel};
 use gsf_perf::{MemoryPlacement, SkuPerfProfile};
 use gsf_workloads::{FleetMix, ServerGeneration};
-use serde::{Deserialize, Serialize};
 
 /// Which CPU the candidate uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpuChoice {
     /// The Gen3 baseline CPU (80 performance cores).
     Genoa,
@@ -56,7 +55,7 @@ impl CpuChoice {
 }
 
 /// One point of the design space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkuConfig {
     /// CPU choice.
     pub cpu: CpuChoice,
@@ -199,7 +198,7 @@ impl SkuConfig {
 }
 
 /// The enumerated design space (cartesian product of the axes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateSpace {
     /// CPU options.
     pub cpus: Vec<CpuChoice>,
@@ -248,7 +247,7 @@ impl CandidateSpace {
 }
 
 /// One evaluated candidate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchResult {
     /// The configuration.
     pub config: SkuConfig,

@@ -7,10 +7,9 @@
 //! savings stacked on a GreenSKU's hardware savings.
 
 use gsf_carbon::grid::RegionGrid;
-use serde::{Deserialize, Serialize};
 
 /// A deferrable batch job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchJob {
     /// Runtime in hours at the committed core count.
     pub runtime_hours: f64,
@@ -31,7 +30,7 @@ impl BatchJob {
 }
 
 /// The result of scheduling one job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledJob {
     /// Chosen start hour-of-day.
     pub start_hour: f64,

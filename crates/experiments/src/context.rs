@@ -6,6 +6,7 @@ use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Errors running an experiment.
 #[derive(Debug)]
@@ -63,7 +64,7 @@ pub struct ExpContext {
     seeds: SeedFactory,
     quick: bool,
     quiet: bool,
-    written: parking_lot::Mutex<Vec<String>>,
+    written: Mutex<Vec<String>>,
 }
 
 impl ExpContext {
@@ -80,7 +81,7 @@ impl ExpContext {
             seeds: SeedFactory::new(seed),
             quick,
             quiet: false,
-            written: parking_lot::Mutex::new(Vec::new()),
+            written: Mutex::new(Vec::new()),
         })
     }
 
@@ -124,7 +125,7 @@ impl ExpContext {
         let path = self.results_dir.join(name);
         let mut f = fs::File::create(&path)?;
         f.write_all(content.as_bytes())?;
-        self.written.lock().push(name.to_string());
+        self.written().push(name.to_string());
         Ok(())
     }
 
@@ -175,7 +176,14 @@ impl ExpContext {
 
     /// All artifact names written so far (for the manifest).
     pub fn artifacts(&self) -> Vec<String> {
-        self.written.lock().clone()
+        self.written().clone()
+    }
+
+    /// The artifact list. A panic in another experiment while it held
+    /// the lock leaves the list whole (each update is one `push`), so a
+    /// poisoned lock is recovered rather than propagated.
+    fn written(&self) -> MutexGuard<'_, Vec<String>> {
+        self.written.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -22,10 +22,17 @@
 //! | [`fig11`] | Fig. 11 — cluster savings vs CI (internal Table IV data) |
 //! | [`fig12`] | Fig. 12 — cluster savings vs CI (open data, full pipeline) |
 //! | [`maintenance`] | §V maintenance example (AFR/FIP/C_OOS) |
+//! | [`faults`] | Fault-injection robustness sweep (AFR scale × FIP effectiveness) |
+//! | [`availability`] | Availability sweep (domain size × repair time × FIP) |
 //! | [`adoption`] | §VI adoption statistics and low-load latency |
+//! | [`scale`] | Scale sweep — streamed vs in-memory evaluation |
 //! | [`sec7`] | §VII-B equivalence analyses |
 //! | [`sec8`] | §VII-A TCO swap + §VIII search/autoscaling/tiering |
+//! | [`ablations`] | DESIGN.md §4 — design ablations (placement, FIP, CXL cards, tail, buffer) |
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
+pub mod ablations;
 pub mod adoption;
 pub mod availability;
 pub mod context;

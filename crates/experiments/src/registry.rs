@@ -117,6 +117,11 @@ pub fn all_experiments() -> Vec<Experiment> {
             title: "SecVII-A TCO swap + SecVIII search/autoscaling/tiering",
             run: crate::sec8::run,
         },
+        Experiment {
+            id: "ablations",
+            title: "Design ablations (placement, FIP, CXL cards, tail estimator, buffer)",
+            run: crate::ablations::run,
+        },
     ]
 }
 
@@ -184,7 +189,7 @@ mod tests {
         let exps = all_experiments();
         let ids: std::collections::HashSet<_> = exps.iter().map(|e| e.id).collect();
         assert_eq!(ids.len(), exps.len());
-        assert_eq!(exps.len(), 21);
+        assert_eq!(exps.len(), 22);
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! asserting bit-identity at every point and recording the chunked
 //! artifact size alongside the savings headline. Both paths prepare
 //! their plans through one builder, so the identity checked here is the
-//! chunk codec's and the streamed pipeline's. The timing and peak-RSS
-//! side of the same comparison is the ~1M-VM phase of the
-//! `ablation_streamed_trace` bench (`results/BENCH_pr8.json`);
-//! experiments stay wall-clock-free so their artifacts are a pure
-//! function of the seed.
+//! chunk codec's and the streamed pipeline's. Experiments stay
+//! wall-clock-free so their artifacts are a pure function of the seed:
+//! the timing and peak-RSS side of the same comparison was measured once
+//! at ~1M VMs by a since-retired bench, and its figures are history in
+//! `results/BENCH_pr8.json`.
 
 use crate::context::{ExpContext, ExpError};
 use gsf_core::{GreenSkuDesign, GsfError, GsfPipeline, PipelineConfig};

@@ -14,7 +14,7 @@
 //! builds offline before anything else), and enforces the catalog in
 //! [`rules`] (documented in DESIGN.md §10): **D1** no `HashMap`/
 //! `HashSet` in model-crate library code, **D2** no wall-clock or
-//! entropy outside benches/mains/tests, **N1** no NaN-panicking
+//! entropy outside binary mains and tests, **N1** no NaN-panicking
 //! `partial_cmp` comparator chains, **N2** no float-literal `==`/`!=`
 //! in model code, **P1** no `panic!`-family macros in library code.
 //!
@@ -45,6 +45,7 @@
 //! cannot silently reopen the gate.)
 #![warn(clippy::unwrap_used)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod baseline;
 pub mod callgraph;

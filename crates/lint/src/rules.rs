@@ -9,8 +9,8 @@
 //!   exactly this. Use `BTreeMap`/`BTreeSet`, or suppress with a
 //!   justification when the map is provably never iterated.
 //! * **D2** wall-clock / entropy (`Instant::now`, `SystemTime`,
-//!   `thread_rng`, `from_entropy`) outside benches, binary mains, and
-//!   test modules. Model outputs must be a pure function of explicit
+//!   `thread_rng`, `from_entropy`) outside binary mains and test
+//!   modules. Model outputs must be a pure function of explicit
 //!   seeds and inputs or the carbon numbers are unauditable.
 //! * **D3** `thread::spawn` in model-crate library code. Unscoped
 //!   ad-hoc threads are how nondeterministic scheduling leaks into
@@ -29,7 +29,7 @@
 //! * **F1** `std::fs` file I/O in model-crate library code. Model
 //!   results must be a pure function of explicit inputs, not ambient
 //!   filesystem state; files are read and written at the driver layer
-//!   (cli, experiments, bench) and streamed into the model through the
+//!   (cli, experiments) and streamed into the model through the
 //!   chunked trace codec (`workloads/src/chunks.rs`, the one exempt
 //!   module), which is generic over `io::Read`/`io::Write`.
 //!
@@ -46,7 +46,7 @@ use crate::tokenizer::{Tok, TokKind};
 pub enum RuleId {
     /// Nondeterministic-iteration collections in model code.
     D1,
-    /// Wall-clock / entropy outside benches, mains, and tests.
+    /// Wall-clock / entropy outside binary mains and tests.
     D2,
     /// `thread::spawn` in model code outside `parallel.rs`.
     D3,
@@ -131,11 +131,10 @@ impl FileCtx<'_> {
         MODEL_CRATES.contains(&self.crate_name)
     }
 
-    /// D2 exempts the bench crate wholesale and the binary mains of the
-    /// driver crates (a progress timer in `main` is not model state).
+    /// D2 exempts the binary mains of the driver crates (a progress
+    /// timer in `main` is not model state).
     fn d2_exempt(&self) -> bool {
-        self.crate_name == "bench"
-            || (matches!(self.crate_name, "cli" | "experiments") && self.file_name == "main.rs")
+        matches!(self.crate_name, "cli" | "experiments") && self.file_name == "main.rs"
     }
 }
 
@@ -225,7 +224,7 @@ fn d2(out: &mut Vec<RawFinding>, tokens: &[Tok], i: usize, tok: &Tok) {
             tok,
             format!(
                 "`{}` injects {} into model code; results must be a pure function of explicit \
-                 seeds and inputs (benches, binary mains, and test modules are exempt)",
+                 seeds and inputs (binary mains and test modules are exempt)",
                 tok.text,
                 if entropy { "ambient entropy" } else { "wall-clock time" }
             ),
@@ -236,8 +235,8 @@ fn d2(out: &mut Vec<RawFinding>, tokens: &[Tok], i: usize, tok: &Tok) {
 fn d3(out: &mut Vec<RawFinding>, tokens: &[Tok], i: usize, tok: &Tok) {
     // Matches the token sequence `thread :: spawn` (so both
     // `std::thread::spawn(..)` and a `use`-imported `thread::spawn`).
-    // Scoped-pool spawns (`scope.spawn`, crossbeam's `s.spawn`) do not
-    // match: those are the sanctioned shape, inside `parallel.rs`.
+    // Scoped-pool spawns (`scope.spawn`) do not match: those are the
+    // sanctioned shape, inside `parallel.rs`.
     if tok.text == "thread"
         && punct_is(tokens.get(i + 1), "::")
         && ident_is(tokens.get(i + 2), "spawn")
@@ -261,7 +260,7 @@ fn f1(out: &mut Vec<RawFinding>, tokens: &[Tok], i: usize, tok: &Tok) {
             RuleId::F1,
             tok,
             "`std::fs` in model code ties results to ambient filesystem state; do file I/O at \
-             the driver layer (cli, experiments, bench) and stream data in through the chunked \
+             the driver layer (cli, experiments) and stream data in through the chunked \
              codec in `workloads/src/chunks.rs` (generic over `io::Read`/`io::Write`)",
         ));
     }

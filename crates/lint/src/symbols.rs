@@ -9,7 +9,7 @@
 //! Call *resolution* is by name, but restricted to the calling crate's
 //! transitive dependency cone (parsed from `Cargo.toml`
 //! `[dependencies]` sections, dev-dependencies excluded). Model crates
-//! never depend on the driver crates (cli, experiments, bench), so a
+//! never depend on the driver crates (cli, experiments), so a
 //! driver function shadowing a model-crate name can never pull a bogus
 //! edge into a model-crate chain. `Type::method` call sites further
 //! require the callee's owning `impl` type to match.
@@ -415,9 +415,9 @@ mod tests {
 
     #[test]
     fn cargo_deps_sections() {
-        let toml = "[package]\nname = \"gsf-vmalloc\"\n[dependencies]\nserde.workspace = true\n\
+        let toml = "[package]\nname = \"gsf-vmalloc\"\n[dependencies]\nrand.workspace = true\n\
                     gsf-stats.workspace = true\ngsf-workloads = { workspace = true }\n\
-                    [dev-dependencies]\ngsf-bench.workspace = true\n";
+                    [dev-dependencies]\ngsf-perf.workspace = true\n";
         assert_eq!(parse_cargo_deps(toml), vec!["stats", "workloads"]);
     }
 

@@ -1,6 +1,6 @@
 //! Fixture-corpus tests: every rule has a firing fixture and a
 //! clean/suppressed fixture, suppression and test-module exemptions are
-//! honored, and rule scoping (model crates, bench, binary mains)
+//! honored, and rule scoping (model crates, binary mains)
 //! matches the catalog.
 
 use gsf_lint::{analyze_source, FileCtx, Finding, RuleId};
@@ -67,9 +67,7 @@ fn d2_clean_and_test_exempt() {
 }
 
 #[test]
-fn d2_exempts_bench_and_binary_mains() {
-    let bench = FileCtx { crate_name: "bench", file_name: "lib.rs" };
-    assert!(run(bench, "d2_violation.rs").is_empty());
+fn d2_exempts_binary_mains() {
     let main = FileCtx { crate_name: "experiments", file_name: "main.rs" };
     assert!(run(main, "d2_violation.rs").is_empty());
     // The same file in a library module of the same crate still fires.

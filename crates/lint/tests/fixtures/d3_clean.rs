@@ -2,8 +2,8 @@
 //! call with a reason, and test modules.
 
 pub fn scoped_ok(xs: &[u64]) -> u64 {
-    // Scope-style spawns (`scope.spawn`, crossbeam's `s.spawn`) are the
-    // shape `parallel.rs` uses; they do not match `thread :: spawn`.
+    // Scope-style spawns (`scope.spawn`) are the shape `parallel.rs`
+    // uses; they do not match `thread :: spawn`.
     std::thread::scope(|scope| {
         let h = scope.spawn(|| xs.iter().sum::<u64>());
         h.join().unwrap_or(0)

@@ -7,10 +7,8 @@
 //! and fans. Reused DIMMs/SSDs carry the same AFRs as new ones (the
 //! empirical observation behind Fig. 2).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-device AFR contributions, in failures per 100 servers per year.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentAfrs {
     /// AFR per DIMM.
     pub per_dimm: f64,
@@ -49,7 +47,7 @@ impl Default for ComponentAfrs {
 }
 
 /// A server's AFR derived from its device counts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerAfr {
     /// DIMM count (new + reused).
     pub dimms: u32,

@@ -12,10 +12,9 @@
 use gsf_stats::moving::MovingAverage;
 use gsf_stats::rng::SimRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the failure process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailureSimParams {
     /// DIMM population size.
     pub population: usize,
@@ -45,7 +44,7 @@ impl Default for FailureSimParams {
 }
 
 /// One monthly observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AfrPoint {
     /// Months since deployment (1-based month index).
     pub month: u32,

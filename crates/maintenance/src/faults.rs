@@ -48,10 +48,9 @@ use gsf_stats::rng::SeedFactory;
 use gsf_vmalloc::{ClusterConfig, FaultEvent, FaultKind, FaultPlan, FaultPool, ServerShape};
 use rand::distributions::Distribution;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Failure-relevant device counts for one server pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolDevices {
     /// DIMMs per server (new + reused).
     pub dimms: u32,
@@ -74,7 +73,7 @@ impl PoolDevices {
 /// Correlated fault-domain structure for one cluster: servers are
 /// grouped into contiguous fixed-size domains per pool, modelling the
 /// shared blast radius of a rack PSU or ToR switch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultTopology {
     /// Servers per fault domain; `0` disables domain events entirely
     /// (the flat topology, bit-identical to the pre-topology model).
@@ -110,7 +109,7 @@ impl Default for FaultTopology {
 /// plans, reports zero expected capacity loss, and every consumer is
 /// required to treat it as a strict identity (bit-for-bit identical
 /// results to a build without fault injection).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultModel {
     enabled: bool,
     /// Per-device AFR contributions.

@@ -3,10 +3,9 @@
 //! non-repairs.
 
 use crate::afr::ServerAfr;
-use serde::{Deserialize, Serialize};
 
 /// FIP policy: what fraction of DRAM/SSD failures are absorbed in place.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FipPolicy {
     /// Effectiveness in [0, 1]; the paper uses a conservative 0.75.
     pub effectiveness: f64,

@@ -6,8 +6,6 @@
 //! between SKUs: repair rate × relative server count × relative
 //! per-server emissions.
 
-use serde::{Deserialize, Serialize};
-
 /// Fraction of servers out of service: `repair_rate` (per 100 servers
 /// per year) × `repair_days` mean time to repair.
 ///
@@ -24,7 +22,7 @@ pub fn oos_fraction(repair_rate_per_100: f64, repair_days: f64) -> f64 {
 }
 
 /// The §V `C_OOS` comparison between a baseline SKU and a GreenSKU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoosComparison {
     /// Baseline `C_OOS` (repair rate × 1 × 1).
     pub baseline: f64,

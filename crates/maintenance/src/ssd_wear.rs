@@ -6,10 +6,8 @@
 //! endurance (drive-writes-per-day over its warranty) and the write rate
 //! it actually saw, how much life is left for a second deployment?
 
-use serde::{Deserialize, Serialize};
-
 /// An SSD model's rated endurance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SsdEndurance {
     /// Capacity in TB.
     pub capacity_tb: f64,
@@ -33,7 +31,7 @@ impl SsdEndurance {
 }
 
 /// Wear state of one drive (or a deployed population's mean).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SsdWear {
     endurance: SsdEndurance,
     written_tb: f64,

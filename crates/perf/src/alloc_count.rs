@@ -1,4 +1,4 @@
-//! Counting global allocator for allocation-budget tests and benches.
+//! Counting global allocator for allocation-budget tests.
 //!
 //! The arena-backed replay core (DESIGN.md §13) promises a steady-state
 //! event loop that touches the heap zero times per event once its
@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A [`System`]-backed allocator that counts every allocation.
 ///
-/// Install one as the `#[global_allocator]` of a test or bench binary
+/// Install one as the `#[global_allocator]` of a test binary
 /// and read [`Self::allocations`] around the region under measurement.
 #[derive(Debug)]
 pub struct CountingAllocator {

@@ -4,7 +4,6 @@
 //!   inside large sweeps (scaling-factor search, low-load analysis), and
 //! - as ground truth that cross-validates the simulator in tests.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error constructing an [`MmcQueue`].
@@ -33,7 +32,7 @@ impl fmt::Display for QueueError {
 impl std::error::Error for QueueError {}
 
 /// A stable M/M/c queue.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MmcQueue {
     servers: u32,
     lambda_per_s: f64,

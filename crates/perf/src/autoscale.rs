@@ -12,10 +12,9 @@ use crate::analytic::MmcQueue;
 use crate::sku::{MemoryPlacement, SkuPerfProfile};
 use crate::slowdown::slowdown;
 use gsf_workloads::{ApplicationModel, ServiceProfile};
-use serde::{Deserialize, Serialize};
 
 /// Autoscaler configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleConfig {
     /// Minimum VM cores.
     pub min_cores: u32,
@@ -38,7 +37,7 @@ impl AutoscaleConfig {
 }
 
 /// One control-interval record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleStep {
     /// Minutes since start.
     pub minute: f64,
@@ -51,7 +50,7 @@ pub struct AutoscaleStep {
 }
 
 /// Result of an autoscaling run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AutoscaleOutcome {
     /// Per-interval trajectory.
     pub steps: Vec<AutoscaleStep>,

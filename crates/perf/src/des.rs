@@ -14,12 +14,11 @@ use gsf_stats::dist::{Exponential, LogNormal};
 use gsf_stats::percentile::Percentiles;
 use gsf_stats::rng::SimRng;
 use rand::distributions::Distribution;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Service-time distribution family.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServiceDist {
     /// Lognormal with the given sigma (the default; right-skewed tails).
     LogNormal {
@@ -31,7 +30,7 @@ pub enum ServiceDist {
 }
 
 /// Configuration of one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesConfig {
     /// Number of worker cores in the VM.
     pub cores: u32,
@@ -55,7 +54,7 @@ impl DesConfig {
 }
 
 /// Result of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesResult {
     /// Mean response time (queueing + service), milliseconds.
     pub mean_ms: f64,

@@ -10,14 +10,13 @@ use crate::scaling::{scaling_factor, ScalingFactor};
 use crate::sku::{MemoryPlacement, SkuPerfProfile};
 use crate::slowdown::slowdown;
 use gsf_workloads::{ApplicationModel, ServiceProfile};
-use serde::{Deserialize, Serialize};
 
 /// The fraction of peak throughput defined as "low" load (following
 /// PARTIES/TimeTrader, §VI).
 pub const LOW_LOAD_FRACTION: f64 = 0.3;
 
 /// Low-load latency of one application on one configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LowLoadPoint {
     /// p95 latency at 30 % of the *baseline's* peak, milliseconds.
     pub p95_ms: f64,

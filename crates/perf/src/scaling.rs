@@ -12,14 +12,13 @@
 use crate::sku::{MemoryPlacement, SkuPerfProfile};
 use crate::slowdown::relative_slowdown;
 use gsf_workloads::{ApplicationModel, ServerGeneration};
-use serde::{Deserialize, Serialize};
 
 /// Throughput-match tolerance: a configuration counts as matching the
 /// baseline if its peak is at least this fraction of the baseline's.
 pub const CAPACITY_TOLERANCE: f64 = 0.98;
 
 /// A Table III scaling factor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScalingFactor {
     /// 8 GreenSKU cores match 8 baseline cores (factor 1).
     One,
@@ -94,7 +93,7 @@ pub fn scaling_factor(
 }
 
 /// One row of the reproduced Table III.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingRow {
     /// Application name.
     pub app: String,

@@ -1,15 +1,13 @@
 //! Performance-relevant SKU profiles (the hardware side of the slowdown
 //! model).
 
-use serde::{Deserialize, Serialize};
-
 /// Local DDR5 load-to-use latency the paper reports (§III).
 pub const LOCAL_MEM_LATENCY_NS: f64 = 140.0;
 /// CXL-attached DDR4 latency at medium load (§III).
 pub const CXL_MEM_LATENCY_NS: f64 = 280.0;
 
 /// How VM memory is placed across DDR5 and CXL-attached DDR4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryPlacement {
     /// All memory on local DDR5 (no CXL traffic).
     LocalOnly,
@@ -37,7 +35,7 @@ impl MemoryPlacement {
 }
 
 /// CXL memory tier attached to a SKU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CxlTier {
     /// Access latency of the CXL tier in nanoseconds.
     pub latency_ns: f64,
@@ -46,7 +44,7 @@ pub struct CxlTier {
 }
 
 /// The architectural parameters of a SKU that the slowdown model uses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SkuPerfProfile {
     /// Profile name (matches the carbon-model SKU names).
     pub name: &'static str,

@@ -6,13 +6,12 @@ use crate::analytic::MmcQueue;
 use crate::sku::{MemoryPlacement, SkuPerfProfile};
 use crate::slowdown::slowdown;
 use gsf_workloads::{ApplicationModel, ServiceProfile};
-use serde::{Deserialize, Serialize};
 
 /// The fraction of peak throughput at which the SLO is read off.
 pub const SLO_LOAD_FRACTION: f64 = 0.9;
 
 /// An application's SLO as derived from a baseline SKU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Slo {
     /// The load (QPS) at which the SLO was derived: 90 % of the baseline
     /// 8-core VM's peak.

@@ -6,10 +6,9 @@ use crate::slowdown::slowdown;
 use gsf_stats::ci::ConfidenceInterval;
 use gsf_stats::rng::SeedFactory;
 use gsf_workloads::{ApplicationModel, ServiceProfile};
-use serde::{Deserialize, Serialize};
 
 /// One measured point of a latency curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
     /// Offered load, queries per second.
     pub qps: f64,
@@ -21,7 +20,7 @@ pub struct CurvePoint {
 }
 
 /// A latency-vs-load curve for one (application, SKU, cores) tuple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyCurve {
     /// Label, e.g. "GreenSKU-Efficient (10 cores)".
     pub label: String,

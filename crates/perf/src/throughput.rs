@@ -4,11 +4,10 @@
 use crate::sku::{MemoryPlacement, SkuPerfProfile};
 use crate::slowdown::slowdown;
 use gsf_workloads::{catalog, ApplicationModel};
-use serde::{Deserialize, Serialize};
 
 /// One row of Table II: a build's runtime normalized to Gen3 on every
 /// compared platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BuildSlowdownRow {
     /// Application name.
     pub app: String,

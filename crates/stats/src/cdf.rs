@@ -4,8 +4,6 @@
 //! module provides the container that backs them and the `(x, F(x))`
 //! series the experiment harness writes out.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical CDF over a finite sample.
 ///
 /// # Example
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cdf.eval(2.5), 0.5);
 /// assert_eq!(cdf.quantile(1.0), Some(4.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmpiricalCdf {
     sorted: Vec<f64>,
 }

@@ -5,10 +5,9 @@
 //! experiment harness attaches to every latency series.
 
 use crate::summary::Summary;
-use serde::{Deserialize, Serialize};
 
 /// A two-sided confidence interval around a sample mean.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     mean: f64,
     half_width: f64,

@@ -1,10 +1,8 @@
 //! Summary statistics over a finite sample.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean, variance, extrema, and count of a sample, computed in one pass
 /// (Welford's algorithm for numerical stability).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
     count: usize,
     mean: f64,

@@ -1,9 +1,7 @@
 //! Cluster configuration: server shapes and pool sizes.
 
-use serde::{Deserialize, Serialize};
-
 /// The allocatable shape of one server SKU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerShape {
     /// Allocatable cores per server.
     pub cores: u32,
@@ -29,7 +27,7 @@ impl ServerShape {
 }
 
 /// A two-pool cluster: baseline SKUs plus GreenSKUs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Number of baseline servers.
     pub baseline_count: u32,

@@ -15,12 +15,11 @@
 //! defensively (a strike on a missing server is a no-op), but a plan
 //! built through the public constructor cannot contain one.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the two server pools: the one a fault strikes, or the one a
 /// VM is placed on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultPool {
     /// The baseline (Gen3) pool.
     Baseline,
@@ -38,7 +37,7 @@ impl fmt::Display for FaultPool {
 }
 
 /// What a fault does to the server it strikes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The whole server goes offline and displaces every hosted VM.
     /// Without a matching [`FaultKind::Revive`] later in the plan the
@@ -62,7 +61,7 @@ pub enum FaultKind {
 }
 
 /// One failure or repair event against one server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Trace time at which the fault strikes, seconds.
     pub time_s: f64,
@@ -129,7 +128,7 @@ impl fmt::Display for FaultPlanError {
 impl std::error::Error for FaultPlanError {}
 
 /// A time-ordered fault schedule for one replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
     max_evac_passes: u32,
@@ -256,7 +255,7 @@ impl Default for FaultPlan {
 /// and `blast_radius_servers` is assigned from the *global* fault plan
 /// by [`crate::merge_outcomes`], which every sharded driver merges
 /// through, so serial and parallel execution agree bitwise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AvailabilitySummary {
     /// VM-seconds spent in the pending-placement queue: time between a
     /// VM's displacement into a saturated fleet and its re-placement,
@@ -315,7 +314,7 @@ impl AvailabilitySummary {
 }
 
 /// What fault injection did to one replay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultSummary {
     /// Servers taken fully offline.
     pub full_failures: usize,

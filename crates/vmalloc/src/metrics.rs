@@ -8,10 +8,9 @@
 use crate::arena::VmArena;
 use crate::server::ServerState;
 use gsf_stats::summary::Summary;
-use serde::{Deserialize, Serialize};
 
 /// Accumulated metrics for one server pool.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PoolMetrics {
     core_density: Summary,
     mem_density: Summary,
@@ -62,7 +61,7 @@ impl PoolMetrics {
 }
 
 /// Metrics for both pools of a cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PackingMetrics {
     /// Baseline-pool metrics.
     pub baseline: PoolMetrics,

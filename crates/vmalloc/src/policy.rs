@@ -2,7 +2,7 @@
 //!
 //! The production scheduler uses best-fit with a preference for
 //! non-empty servers; first-fit and worst-fit are provided for the
-//! ablation benches.
+//! placement-policy ablation (`experiments ablations`).
 //!
 //! [`PlacementPolicy::choose_linear`] is the executable reference
 //! specification: a full O(N) scan of the pool. The production path
@@ -13,10 +13,9 @@
 //! `gsf-cluster`.
 
 use crate::server::ServerState;
-use serde::{Deserialize, Serialize};
 
 /// Which server, among those that fit, receives a VM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// Tightest fit first (minimize leftover), preferring non-empty
     /// servers — the Azure production heuristic the paper describes.

@@ -2,7 +2,6 @@
 
 use crate::arena::VmArena;
 use crate::cluster::ServerShape;
-use serde::{Deserialize, Serialize};
 
 /// Tolerance on memory-feasibility comparisons, GB. Placement sizes are
 /// products of trace memory and scaling factors, so requests that
@@ -27,7 +26,7 @@ pub(crate) fn mem_fits(free_gb: f64, mem_gb: f64) -> bool {
 
 /// A VM as placed on a server (possibly scaled relative to its trace
 /// request).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacedVm {
     /// Cores actually allocated.
     pub cores: u32,

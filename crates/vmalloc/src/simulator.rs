@@ -41,11 +41,10 @@ use crate::prepared::{PreparedEvent, PreparedTrace};
 use crate::server::{PlacedVm, ServerState};
 use crate::usage::UsageLedger;
 use gsf_workloads::{VmEventKind, VmSpec};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Which pool(s) a VM may be placed on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TargetPool {
     /// Only baseline servers (full-node VMs, non-adopting apps).
     BaselineOnly,
@@ -58,7 +57,7 @@ pub enum TargetPool {
 
 /// The resolved placement request for one VM: how large it is on each
 /// pool and where it may go.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacementRequest {
     /// Pool constraint.
     pub target: TargetPool,
@@ -120,7 +119,7 @@ struct Resident {
 }
 
 /// Result of replaying a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimOutcome {
     /// Number of VM requests that could not be placed anywhere.
     pub rejected: usize,

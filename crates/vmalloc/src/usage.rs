@@ -2,7 +2,6 @@
 //! attribution (§IV-A: the model must "allow attributing emissions to
 //! VMs").
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Core-seconds consumed per application index, split by pool.
@@ -13,7 +12,7 @@ use std::collections::BTreeMap;
 /// per-instance random order, so totals differed in the last bits
 /// between otherwise identical runs (the same bug class `ServerState`'s
 /// VM map had).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct UsageLedger {
     baseline_core_s: BTreeMap<u16, f64>,
     green_core_s: BTreeMap<u16, f64>,

@@ -2,10 +2,9 @@
 
 use crate::class::AppClass;
 use crate::sensitivity::HardwareSensitivity;
-use serde::{Deserialize, Serialize};
 
 /// How an application's work is expressed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServiceProfile {
     /// A latency-critical request/response service: requests arrive at
     /// some QPS and are judged on p95 tail latency against an SLO.
@@ -26,7 +25,7 @@ pub enum ServiceProfile {
 }
 
 /// One of the 20 benchmark applications (Table III).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApplicationModel {
     name: &'static str,
     class: AppClass,

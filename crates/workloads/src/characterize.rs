@@ -12,11 +12,10 @@ use crate::class::AppClass;
 use crate::trace::Trace;
 use crate::vm::VmEventKind;
 use gsf_stats::cdf::EmpiricalCdf;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Summary statistics of one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceProfile {
     /// Number of VMs.
     pub vm_count: usize,

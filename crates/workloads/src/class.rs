@@ -1,10 +1,8 @@
 //! Application classes and their fleet core-hour shares (Table III).
 
-use serde::{Deserialize, Serialize};
-
 /// The six application classes that run in the majority of Azure VMs
 /// (§V, citing the workload-characterization study the paper builds on).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AppClass {
     /// In-memory data stores and OLTP databases.
     BigData,

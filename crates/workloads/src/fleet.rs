@@ -6,7 +6,6 @@ use crate::catalog;
 use gsf_stats::dist::Categorical;
 use gsf_stats::rng::SimRng;
 use rand::distributions::Distribution;
-use serde::{Deserialize, Serialize};
 
 /// The fleet's application mix: every catalog application weighted by
 /// its share of fleet core-hours (class share split uniformly within the
@@ -72,7 +71,7 @@ impl FleetMix {
 
 /// One row of the paper's published Table III (for comparison against
 /// the simulator's reproduced scaling factors).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PublishedScaling {
     /// Application name.
     pub app: &'static str,

@@ -18,10 +18,8 @@
 //! - **CXL latency** — the slowdown when a fraction of memory traffic is
 //!   served at CXL latency instead of local DDR5 (`cxl_*`, Fig. 8).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-application sensitivity to SKU hardware parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HardwareSensitivity {
     /// Weight of core-frequency differences (0 = insensitive,
     /// 1 = perfectly frequency-bound).

@@ -47,13 +47,15 @@ pub enum TraceCodecError {
 impl fmt::Display for TraceCodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceCodecError::Truncated => write!(f, "trace buffer truncated"),
-            TraceCodecError::BadMagic => write!(f, "trace buffer has wrong magic bytes"),
+            TraceCodecError::Truncated => write!(f, "trace file truncated"),
+            TraceCodecError::BadMagic => {
+                write!(f, "not a chunked GSF trace file (wrong magic bytes)")
+            }
             TraceCodecError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
             TraceCodecError::BadDiscriminant(d) => {
-                write!(f, "invalid enum discriminant {d} in trace buffer")
+                write!(f, "invalid enum discriminant {d} in trace file")
             }
-            TraceCodecError::Corrupt(what) => write!(f, "corrupt trace buffer: {what}"),
+            TraceCodecError::Corrupt(what) => write!(f, "corrupt trace file: {what}"),
             TraceCodecError::TooLarge(what) => {
                 write!(f, "trace too large to encode: {what} count exceeds u32")
             }

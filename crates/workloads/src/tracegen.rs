@@ -21,10 +21,9 @@ use gsf_stats::dist::{Categorical, Exponential, LogNormal, Pareto};
 use gsf_stats::rng::SeedFactory;
 use rand::distributions::Distribution;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of one synthetic cluster trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceParams {
     /// Trace horizon in hours.
     pub duration_hours: f64,

@@ -1,10 +1,8 @@
 //! VM descriptions and trace events.
 
-use serde::{Deserialize, Serialize};
-
 /// The baseline server generation a VM was deployed on in the trace
 /// (pre-defined per VM in the paper's production traces).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ServerGeneration {
     /// AMD Rome era.
     Gen1,
@@ -37,7 +35,7 @@ impl std::fmt::Display for ServerGeneration {
 }
 
 /// One VM in a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmSpec {
     /// Unique id within the trace.
     pub id: u64,
@@ -74,7 +72,7 @@ impl VmSpec {
 }
 
 /// Kind of a trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VmEventKind {
     /// The VM arrives and requests placement.
     Arrival,
@@ -83,7 +81,7 @@ pub enum VmEventKind {
 }
 
 /// One timestamped arrival or departure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmEvent {
     /// Simulation time in seconds.
     pub time_s: f64,

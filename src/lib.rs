@@ -37,6 +37,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub use gsf_carbon as carbon;
 pub use gsf_cluster as cluster;
