@@ -84,6 +84,14 @@ for workload in size24k sweep16 faults12k stream250k; do
     cargo run --release --offline -q --manifest-path benchmark/Cargo.toml --bin gsf-benchmark -- \
         --workload "$workload" --seed 2024 --seconds 0
 done
+# The one-CPU path. On two or more CPUs a faulted sizing search looks
+# one probe ahead on a helper thread; bound to one CPU, the run sees one
+# available core and sizes without it. Both paths must reproduce the
+# pinned faults12k digest. `taskset` binds only this one command.
+if command -v taskset > /dev/null && [ "$(nproc)" -ge 2 ]; then
+    taskset -c 0 cargo run --release --offline -q --manifest-path benchmark/Cargo.toml \
+        --bin gsf-benchmark -- --workload faults12k --seed 2024 --seconds 0
+fi
 # Docs must build clean: public-API rustdoc (broken intra-doc links,
 # links from public docs to private items, malformed HTML) is a release
 # gate, not a warning. --workspace: a bare `cargo doc` documents only

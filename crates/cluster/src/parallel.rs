@@ -1,15 +1,43 @@
-//! Parallel per-trace execution for the 35-trace packing studies.
+//! The model's thread code: parallel per-item execution for sweeps,
+//! packing studies and sharded replays, and a two-closure [`join`] for
+//! the look-ahead probe of faulted sizing searches.
 //!
-//! Uses `std::thread::scope` workers that claim items from one shared
-//! iterator behind a mutex; results return in trace order regardless of
-//! which worker ran them.
+//! [`map_parallel_mut`] uses `std::thread::scope` workers that claim
+//! items from one shared iterator behind a mutex; results return in
+//! input order regardless of which worker ran them. [`join`] runs its
+//! second closure on one scoped thread while the first runs on the
+//! calling thread, and returns both results in argument order.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 
 /// The default worker count for parallel sweeps: the machine's
 /// available parallelism, or 1 when that cannot be determined.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Runs `a` and `b` at once and returns `(a(), b())`: `b` on a scoped
+/// thread, `a` inline on the calling thread. When neither closure sees
+/// the other's work, the pair is what running them one after the other
+/// gives.
+///
+/// # Panics
+///
+/// Re-raises a panic from either closure on the calling thread, once
+/// both have finished.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    std::thread::scope(|scope| {
+        let b = scope.spawn(b);
+        let a = catch_unwind(AssertUnwindSafe(a));
+        let b = b.join();
+        (a.expect("worker threads do not panic"), b.expect("worker threads do not panic"))
+    })
 }
 
 /// Applies `f` to every trace-like item on a pool of worker threads and
@@ -222,6 +250,42 @@ mod tests {
             arrived.load(Ordering::SeqCst)
         });
         assert_eq!(seen, vec![2, 2], "both items must be in flight at once");
+    }
+
+    #[test]
+    fn join_returns_both_results_in_argument_order() {
+        assert_eq!(join(|| 1u8, || "two"), (1, "two"));
+    }
+
+    #[test]
+    fn join_runs_both_closures_concurrently() {
+        // Each closure waits (up to 10 s) for the other to arrive. A
+        // join that ran them one after the other would see only its own
+        // arrival in the first.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+        let arrived = AtomicUsize::new(0);
+        let meet = || {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while arrived.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            arrived.load(Ordering::SeqCst)
+        };
+        assert_eq!(join(meet, meet), (2, 2), "both closures must be in flight at once");
+    }
+
+    #[test]
+    #[should_panic(expected = "worker threads do not panic")]
+    fn join_reraises_a_panic_of_the_inline_closure() {
+        let _ = join(|| panic!("closure failed on purpose"), || 2u8);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker threads do not panic")]
+    fn join_reraises_a_panic_of_the_spawned_closure() {
+        let _ = join(|| 1u8, || -> u8 { panic!("closure failed on purpose") });
     }
 
     #[test]

@@ -10,13 +10,16 @@
 //! searches answer most probes from the placement high-water mark of a
 //! replay they already ran, and fork the rest, the GreenSKU probes below
 //! the green mark, from a forward cursor over that replay at the event
-//! where they part from it, running each only to its first rejection
-//! (DESIGN.md §15).
+//! where they part from it, running each only to its first rejection.
+//! Faulted unsharded searches stop each probe at its first rejection
+//! and, on two or more workers, run beside each probe the one the
+//! bisection asks next if it is feasible (DESIGN.md §15).
 //!
 //! [`right_size`] is the one entry point: a [`SizingRequest`] names the
 //! prepared plans, shapes, policy, fault injection and shard count, and
 //! the answer is `n0` plus the plan to deploy.
 
+use crate::parallel::{default_workers, join};
 use gsf_maintenance::{FaultModel, PoolDevices};
 use gsf_vmalloc::{
     AllocationSim, ClusterConfig, FaultPlan, FaultSummary, GreenLimit, HighWaterMarks,
@@ -141,8 +144,12 @@ pub struct SizingRequest<'a> {
     pub faults: Option<&'a FaultInjection<'a>>,
     /// Shards per probe replay; `<= 1` is the unsharded engine.
     pub shards: usize,
-    /// Worker threads per sharded probe. The answer is the same for any
-    /// count; unsharded probes ignore it.
+    /// Worker threads for the search. A sharded probe replays its shards
+    /// on this many. A faulted unsharded search on two or more runs,
+    /// beside each probe, the one its bisection asks next if that probe
+    /// is feasible, on a second simulator and one helper thread
+    /// (DESIGN.md §15). A fault-free unsharded search ignores it. The
+    /// answer is the same for any count.
     pub workers: usize,
 }
 
@@ -168,7 +175,8 @@ impl<'a> SizingRequest<'a> {
 /// and the fault summary must also pass [`FaultInjection::admits`].
 /// Fault-free unsharded probes answer from their placement high-water
 /// marks and fork the GreenSKU probes below the green mark (DESIGN.md
-/// §15); faulted and sharded probes bisect.
+/// §15); faulted and sharded probes bisect, and faulted unsharded ones
+/// look one probe ahead when `workers >= 2`.
 ///
 /// # Errors
 ///
@@ -177,20 +185,35 @@ impl<'a> SizingRequest<'a> {
 /// search at its largest green cap.
 pub fn right_size(request: &SizingRequest<'_>) -> Result<(u32, ClusterPlan), SizingError> {
     let faults = request.faults.filter(|f| !f.model.is_none());
-    let (empty, policy) = (ClusterConfig::baseline_only(0), request.policy);
+    let policy = request.policy;
     if request.shards > 1 {
         search(request, |prepared| {
-            let mut sim = ShardedSim::new(empty, policy, request.shards);
+            let mut sim = ShardedSim::new(ClusterConfig::baseline_only(0), policy, request.shards);
             move |config| crate::sharded::probe(&mut sim, prepared, config, faults, request.workers)
         })
     } else {
-        search(request, |prepared| Unsharded {
-            sim: AllocationSim::new(empty, policy),
-            prepared,
-            policy,
-            faults,
-            cursor: None,
-        })
+        search(request, |prepared| unsharded(prepared, policy, faults, request.workers))
+    }
+}
+
+/// The unsharded prober of a search over `prepared`. Faulted probes
+/// carry no marks: with a second worker, a spare simulator runs the
+/// bisection's next probe beside each one.
+fn unsharded<'a>(
+    prepared: &'a PreparedTrace,
+    policy: PlacementPolicy,
+    faults: Option<&'a FaultInjection<'a>>,
+    workers: usize,
+) -> Unsharded<'a> {
+    let empty = || AllocationSim::new(ClusterConfig::baseline_only(0), policy);
+    let look_ahead = faults.is_some() && workers >= 2;
+    Unsharded {
+        sim: empty(),
+        spare: look_ahead.then(empty),
+        prepared,
+        policy,
+        faults,
+        cursor: None,
     }
 }
 
@@ -202,17 +225,16 @@ fn search<'a, P: Prober>(
     prober: impl Fn(&'a PreparedTrace) -> P,
 ) -> Result<(u32, ClusterPlan), SizingError> {
     let baseline = request.baseline;
-    let n0 = {
-        let mut prober = prober(baseline);
-        baseline_search(baseline.peak_demand(), request.baseline_shape, |config| {
-            prober.probe(config)
-        })?
-    };
+    let n0 =
+        baseline_search(baseline.peak_demand(), request.baseline_shape, &mut prober(baseline))?;
     let plan = match request.mixed {
         None => ClusterPlan { baseline: n0, green: 0 },
-        Some(mixed) => {
-            mixed_search(n0, request.baseline_shape, mixed.green_shape, prober(mixed.prepared))?
-        }
+        Some(mixed) => mixed_search(
+            n0,
+            request.baseline_shape,
+            mixed.green_shape,
+            &mut prober(mixed.prepared),
+        )?,
     };
     Ok((n0, plan))
 }
@@ -233,7 +255,8 @@ pub(crate) fn feasible(
 }
 
 /// Feasibility probe on the unsharded engine. It is exact, and reports
-/// its high-water marks, exactly when it is fault-free.
+/// its high-water marks, exactly when it is fault-free. A faulted probe
+/// stops at its first rejection (DESIGN.md §15).
 fn probe(
     sim: &mut AllocationSim,
     prepared: &PreparedTrace,
@@ -241,17 +264,39 @@ fn probe(
     faults: Option<&FaultInjection<'_>>,
 ) -> Probe {
     sim.reset(config);
-    let feasible =
-        feasible(prepared, &config, faults, |plan| sim.replay_prepared_faulted(prepared, plan));
-    Probe { feasible, marks: faults.is_none().then(|| sim.high_water_marks()) }
+    match faults {
+        None => {
+            let (outcome, _) = sim.replay_prepared_faulted(prepared, &FaultPlan::empty());
+            Probe { feasible: outcome.no_rejections(), marks: Some(sim.high_water_marks()) }
+        }
+        Some(inj) => {
+            let plan = inj.plan_for(&config, prepared.duration_s());
+            let summary = sim.run_faulted_feasibility(prepared, &plan);
+            Probe::plain(summary.is_some_and(|summary| inj.admits(&summary)))
+        }
+    }
 }
 
 /// What a search skeleton asks of its probes. A closure from a
-/// configuration to its [`Probe`] is a prober whose GreenSKU probes are
-/// plain probes; the unsharded fault-free prober forks them instead.
+/// configuration to its [`Probe`] is a prober that never looks ahead and
+/// whose GreenSKU probes are plain probes; the unsharded fault-free
+/// prober forks those instead, and the unsharded faulted one looks ahead
+/// on a spare simulator.
 trait Prober {
     /// Probes one candidate configuration.
     fn probe(&mut self, config: ClusterConfig) -> Probe;
+
+    /// Probes `config` and, looking ahead, `next`: the configuration the
+    /// search asks next if `config` is feasible. The second answer is
+    /// `None` when the prober did not run it, as by default, and always
+    /// when `next` is `None`.
+    fn probe_ahead(
+        &mut self,
+        config: ClusterConfig,
+        _next: Option<ClusterConfig>,
+    ) -> (Probe, Option<Probe>) {
+        (self.probe(config), None)
+    }
 
     /// Whether `top`, which the mixed search found feasible, still
     /// hosts the trace with `green` of its GreenSKUs, below the green
@@ -267,10 +312,13 @@ impl<F: FnMut(ClusterConfig) -> Probe> Prober for F {
     }
 }
 
-/// The unsharded engine's prober: one probe simulator, plus the forward
-/// cursor of a forked GreenSKU bisection once one starts.
+/// The unsharded engine's prober: one probe simulator, the spare one a
+/// faulted search looks ahead on, and the forward cursor of a forked
+/// GreenSKU bisection once one starts.
 struct Unsharded<'a> {
     sim: AllocationSim,
+    /// Present only for faulted probes on two or more workers.
+    spare: Option<AllocationSim>,
     prepared: &'a PreparedTrace,
     policy: PlacementPolicy,
     faults: Option<&'a FaultInjection<'a>>,
@@ -282,16 +330,38 @@ impl Prober for Unsharded<'_> {
         probe(&mut self.sim, self.prepared, config, self.faults)
     }
 
-    /// Fault-free, the probe forks from the replay of `top` (DESIGN.md
+    /// With a spare simulator, `next` runs on it on a helper thread
+    /// while `config` runs on the probe simulator. Each probe resets its
+    /// own simulator and samples its own fault plan, so each answer is
+    /// the one a probe alone would give (DESIGN.md §15).
+    fn probe_ahead(
+        &mut self,
+        config: ClusterConfig,
+        next: Option<ClusterConfig>,
+    ) -> (Probe, Option<Probe>) {
+        let Self { sim, spare, prepared, faults, .. } = self;
+        let (prepared, faults) = (*prepared, *faults);
+        match (spare, next) {
+            (Some(spare), Some(next)) => {
+                let (first, ahead) = join(
+                    || probe(sim, prepared, config, faults),
+                    || probe(spare, prepared, next, faults),
+                );
+                (first, Some(ahead))
+            }
+            _ => (probe(sim, prepared, config, faults), None),
+        }
+    }
+
+    /// The probe forks from the fault-free replay of `top` (DESIGN.md
     /// §15): the cursor advances to the event at which that replay
     /// first opens GreenSKU `green`, the probe simulator copies its
     /// state, and the probe runs on from there, limited to `green`
-    /// GreenSKUs, until its first rejection.
+    /// GreenSKUs, until its first rejection. Only an exact search, so a
+    /// fault-free one, asks.
     fn fewer_green(&mut self, top: ClusterConfig, green: u32) -> bool {
+        debug_assert!(self.faults.is_none(), "faulted probes report no marks");
         let plain = ClusterConfig { green_count: green, ..top };
-        if self.faults.is_some() {
-            return self.probe(plain).feasible;
-        }
         let policy = self.policy;
         let cursor = self.cursor.get_or_insert_with(|| Cursor::new(top, policy));
         debug_assert_eq!(cursor.top, top, "one GreenSKU bisection per mixed search");
@@ -368,12 +438,40 @@ impl Probe {
     }
 }
 
-/// Smallest `n` in `[lo, hi]` with `pred(n)` true, given that `pred(hi)`
-/// holds (and is not asked again).
-fn bisect(mut lo: u32, mut hi: u32, mut pred: impl FnMut(u32) -> bool) -> u32 {
+/// The midpoint a bisection of `[lo, hi]` asks.
+fn midpoint(lo: u32, hi: u32) -> u32 {
+    lo + (hi - lo) / 2
+}
+
+/// Smallest `n` in `[lo, hi]` whose verdict holds, given that `hi`'s
+/// does (and is not asked again).
+///
+/// `ask(mid, next)` gives the verdict at `mid` and may give, looking
+/// ahead, the one at `next`: the midpoint asked after `mid` if `mid`'s
+/// verdict holds (`None` when none would be). `ahead` is the verdict at
+/// the first midpoint when the caller has it already. A looked-ahead
+/// verdict is read only when the verdict beside it holds, for the
+/// midpoint it was given for, so the bisection reads the plain
+/// bisection's verdicts in its order.
+fn bisect(
+    mut lo: u32,
+    mut hi: u32,
+    mut ahead: Option<bool>,
+    mut ask: impl FnMut(u32, Option<u32>) -> (bool, Option<bool>),
+) -> u32 {
     while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if pred(mid) {
+        let mid = midpoint(lo, hi);
+        let holds = match ahead.take() {
+            Some(holds) => holds,
+            None => {
+                let (holds, next) = ask(mid, (lo < mid).then(|| midpoint(lo, mid)));
+                if holds {
+                    ahead = next;
+                }
+                holds
+            }
+        };
+        if holds {
             hi = mid;
         } else {
             lo = mid + 1;
@@ -382,40 +480,57 @@ fn bisect(mut lo: u32, mut hi: u32, mut pred: impl FnMut(u32) -> bool) -> u32 {
     lo
 }
 
-/// Smallest baseline-pool count in `[lo, hi]` with a feasible probe —
-/// the dimension both skeletons search — plus the marks of the first
-/// probe (the one at `hi`).
+/// `prober`'s verdicts on `config(n)` and, looking ahead, on
+/// `config(next)`.
+fn verdicts(
+    prober: &mut impl Prober,
+    config: impl Fn(u32) -> ClusterConfig,
+    n: u32,
+    next: Option<u32>,
+) -> (bool, Option<bool>) {
+    let (probe, ahead) = prober.probe_ahead(config(n), next.map(&config));
+    (probe.feasible, ahead.map(|ahead| ahead.feasible))
+}
+
+/// Smallest baseline-pool count `n` in `[lo, hi]` whose configuration
+/// `config(n)` `prober` finds feasible — the dimension both skeletons
+/// search — plus the marks of the first probe (the one at `hi`).
 ///
 /// A feasible exact probe at `hi` settles the whole range
 /// (DESIGN.md §15): every count at or above its baseline mark replays
 /// it event for event, and every count `n` below it rejects the VM that
-/// opened server `n`. A probe without marks is bisected below `hi`.
+/// opened server `n`. A probe without marks is bisected below `hi`. The
+/// probe at `hi` looks ahead to the bisection's first midpoint, whose
+/// answer the bisection then starts from.
 fn min_baseline_count(
     lo: u32,
     hi: u32,
-    mut probe: impl FnMut(u32) -> Probe,
+    prober: &mut impl Prober,
+    config: impl Fn(u32) -> ClusterConfig,
 ) -> (Option<u32>, Option<HighWaterMarks>) {
     if lo > hi {
         return (None, None);
     }
-    let top = probe(hi);
+    let (top, ahead) = prober.probe_ahead(config(hi), (lo < hi).then(|| config(midpoint(lo, hi))));
     let found = match (top.feasible, top.marks) {
         (false, _) => None,
         (true, Some(marks)) => Some(marks.baseline.max(lo)),
-        (true, None) => Some(bisect(lo, hi, |n| probe(n).feasible)),
+        (true, None) => Some(bisect(lo, hi, ahead.map(|ahead| ahead.feasible), |n, next| {
+            verdicts(prober, &config, n, next)
+        })),
     };
     (found, top.marks)
 }
 
 /// The baseline-only search skeleton: peak-demand lower bound, 4× upper
-/// bound (minimum 8), binary search over `probe`. The probe captures
-/// its own simulator (unsharded or sharded — the skeleton is
+/// bound (minimum 8), binary search over `prober`'s probes. The prober
+/// holds its own simulator (unsharded or sharded — the skeleton is
 /// engine-agnostic) and answers whether one candidate configuration
 /// hosts the trace; an exact probe answers with the bound probe alone.
 fn baseline_search(
     peak_demand: (u64, f64),
     baseline_shape: ServerShape,
-    mut probe: impl FnMut(ClusterConfig) -> Probe,
+    prober: &mut impl Prober,
 ) -> Result<u32, SizingError> {
     let (peak_cores, peak_mem) = peak_demand;
     let by_cores = peak_cores.div_ceil(u64::from(baseline_shape.cores));
@@ -428,9 +543,7 @@ fn baseline_search(
         green_count: 0,
         green_shape: ServerShape::greensku(),
     };
-    min_baseline_count(lower, bound, |n| probe(config(n)))
-        .0
-        .ok_or(SizingError::Infeasible { bound })
+    min_baseline_count(lower, bound, prober, config).0.ok_or(SizingError::Infeasible { bound })
 }
 
 /// The mixed-cluster search skeleton given a right-sized baseline-only
@@ -445,11 +558,13 @@ fn baseline_search(
 /// `(b_min, green_cap)` replay. Below the mark the bisection asks
 /// [`Prober::fewer_green`], which the unsharded fault-free prober
 /// answers by forking from that replay at the probe's divergence.
+/// Probes without marks bisect every step, each probe looking ahead to
+/// the next.
 fn mixed_search(
     n0: u32,
     baseline_shape: ServerShape,
     green_shape: ServerShape,
-    mut prober: impl Prober,
+    prober: &mut impl Prober,
 ) -> Result<ClusterPlan, SizingError> {
     // A green server is at least as large as a baseline server in both
     // dimensions for the standard shapes; scale the green cap by the
@@ -475,7 +590,7 @@ fn mixed_search(
     // the current green cap, the cap itself is the constraint (large
     // scaling factors, packing anomalies) — double it and retry.
     let (mut b_min, mut marks) = loop {
-        let (found, marks) = min_baseline_count(0, n0, |b| prober.probe(config(b, green_cap)));
+        let (found, marks) = min_baseline_count(0, n0, prober, |b| config(b, green_cap));
         if let Some(b) = found {
             break (b, marks);
         }
@@ -488,7 +603,7 @@ fn mixed_search(
     // would free; keep doubling while that shrinks the baseline count.
     while b_min > 0 && green_cap < cap_limit && !below_cap(marks, green_cap) {
         let doubled = green_cap.saturating_mul(2).min(cap_limit);
-        match min_baseline_count(0, b_min - 1, |b| prober.probe(config(b, doubled))) {
+        match min_baseline_count(0, b_min - 1, prober, |b| config(b, doubled)) {
             (Some(b), doubled_marks) => {
                 green_cap = doubled;
                 b_min = b;
@@ -501,14 +616,24 @@ fn mixed_search(
     // searches above found `(b_min, green_cap)` feasible, and probes are
     // deterministic, so the bisection starts from it as its known top
     // instead of replaying it again.
-    let top = config(b_min, green_cap);
-    let g_min =
-        bisect(0, green_cap, |g| marks.is_some_and(|m| g >= m.green) || prober.fewer_green(top, g));
+    let g_min = match marks {
+        Some(marks) => {
+            let top = config(b_min, green_cap);
+            bisect(0, green_cap, None, |g, _| {
+                (g >= marks.green || prober.fewer_green(top, g), None)
+            })
+        }
+        None => {
+            bisect(0, green_cap, None, |g, next| verdicts(prober, |g| config(b_min, g), g, next))
+        }
+    };
     Ok(ClusterPlan { baseline: b_min, green: g_min })
 }
 
 /// Kept for the `benchmark/` package, which calls it: forwards to
-/// [`right_size`] with a baseline-only request and returns `n0`.
+/// [`right_size`] with a baseline-only request on
+/// [`default_workers`] workers, as the pipeline sizes, and returns
+/// `n0`.
 ///
 /// # Errors
 ///
@@ -519,12 +644,17 @@ pub fn right_size_baseline_only_prepared(
     policy: PlacementPolicy,
     faults: Option<&FaultInjection<'_>>,
 ) -> Result<u32, SizingError> {
-    right_size(&SizingRequest { faults, ..SizingRequest::new(prepared, baseline_shape, policy) })
-        .map(|(n0, _)| n0)
+    right_size(&SizingRequest {
+        faults,
+        workers: default_workers(),
+        ..SizingRequest::new(prepared, baseline_shape, policy)
+    })
+    .map(|(n0, _)| n0)
 }
 
 /// Kept for the `benchmark/` package, which calls it: forwards to
-/// [`right_size`] with a mixed request over `prepared` and returns the
+/// [`right_size`] with a mixed request over `prepared` on
+/// [`default_workers`] workers, as the pipeline sizes, and returns the
 /// plan.
 ///
 /// # Errors
@@ -542,6 +672,7 @@ pub fn right_size_mixed_prepared(
     right_size(&SizingRequest {
         mixed,
         faults,
+        workers: default_workers(),
         ..SizingRequest::new(prepared_baseline, baseline_shape, policy)
     })
     .map(|(_, plan)| plan)
@@ -755,7 +886,7 @@ mod tests {
         if lo > hi || !pred(hi) {
             return None;
         }
-        Some(bisect(lo, hi, pred))
+        Some(bisect(lo, hi, None, |n, _| (pred(n), None)))
     }
 
     #[test]
@@ -899,7 +1030,7 @@ mod tests {
         for needed in [4u32, 10, 23, 40, 41] {
             let fleet = Fleet { baseline: needed, green: 0, overflow: 0 };
             let mut calls = Vec::new();
-            let got = baseline_search(peak, SHAPE, |c| {
+            let got = baseline_search(peak, SHAPE, &mut |c: ClusterConfig| {
                 calls.push(c.baseline_count);
                 fleet.exact(c)
             });
@@ -913,7 +1044,7 @@ mod tests {
     fn green_mark_under_the_cap_skips_every_doubled_cap() {
         for fleet in FLEETS {
             let mut exact_caps = Vec::new();
-            let got = mixed_search(N0, SHAPE, SHAPE, |c: ClusterConfig| {
+            let got = mixed_search(N0, SHAPE, SHAPE, &mut |c: ClusterConfig| {
                 exact_caps.push(c.green_count);
                 fleet.exact(c)
             });
@@ -937,7 +1068,7 @@ mod tests {
         .unwrap();
         assert!(plain_caps.contains(&32), "{plain_caps:?}");
         let mut exact_caps = Vec::new();
-        mixed_search(N0, SHAPE, SHAPE, |c: ClusterConfig| {
+        mixed_search(N0, SHAPE, SHAPE, &mut |c: ClusterConfig| {
             exact_caps.push(c.green_count);
             fleet.exact(c)
         })
@@ -953,7 +1084,7 @@ mod tests {
     fn probes_without_marks_keep_the_plain_search_call_for_call() {
         for fleet in FLEETS {
             let mut got = Vec::new();
-            let got_plan = mixed_search(N0, SHAPE, SHAPE, |c: ClusterConfig| {
+            let got_plan = mixed_search(N0, SHAPE, SHAPE, &mut |c: ClusterConfig| {
                 got.push(c);
                 Probe::plain(fleet.exact(c).feasible)
             });
@@ -980,7 +1111,7 @@ mod tests {
         for needed in [4u32, 23, 41] {
             let fleet = Fleet { baseline: needed, green: 0, overflow: 0 };
             let mut got = Vec::new();
-            let got_n = baseline_search(peak, SHAPE, |c| {
+            let got_n = baseline_search(peak, SHAPE, &mut |c: ClusterConfig| {
                 got.push(c);
                 Probe::plain(fleet.exact(c).feasible)
             });
@@ -991,6 +1122,141 @@ mod tests {
             });
             assert_eq!(got_n, want_n);
             assert_eq!(got, want);
+        }
+    }
+
+    /// A prober over a synthetic fleet whose pair method answers both
+    /// configurations it is given, recording each round.
+    struct Recording {
+        fleet: Fleet,
+        /// Whether its probes report the fleet's marks. Its look-ahead
+        /// answers are then inverted, so a search that read one would go
+        /// wrong.
+        exact: bool,
+        rounds: Vec<(ClusterConfig, Option<ClusterConfig>)>,
+    }
+
+    impl Recording {
+        fn new(fleet: Fleet, exact: bool) -> Self {
+            Self { fleet, exact, rounds: Vec::new() }
+        }
+
+        fn answer(&self, config: ClusterConfig) -> Probe {
+            let exact = self.fleet.exact(config);
+            if self.exact {
+                exact
+            } else {
+                Probe::plain(exact.feasible)
+            }
+        }
+
+        /// Each round's own configuration, then its look-ahead's when its
+        /// own was feasible: the configurations whose answers a search
+        /// without marks uses, in order.
+        fn used(&self) -> Vec<ClusterConfig> {
+            let ahead = |&(config, next): &(ClusterConfig, Option<ClusterConfig>)| {
+                next.filter(|_| self.fleet.exact(config).feasible)
+            };
+            self.rounds
+                .iter()
+                .flat_map(|round| std::iter::once(round.0).chain(ahead(round)))
+                .collect()
+        }
+    }
+
+    impl Prober for Recording {
+        fn probe(&mut self, config: ClusterConfig) -> Probe {
+            self.probe_ahead(config, None).0
+        }
+
+        fn probe_ahead(
+            &mut self,
+            config: ClusterConfig,
+            next: Option<ClusterConfig>,
+        ) -> (Probe, Option<Probe>) {
+            self.rounds.push((config, next));
+            let ahead = next.map(|next| {
+                let answer = self.answer(next);
+                Probe { feasible: answer.feasible != self.exact, ..answer }
+            });
+            (self.answer(config), ahead)
+        }
+    }
+
+    /// The plain search's probe sequence on `fleet`, minus the one repeat
+    /// the skeleton skips, and its answer.
+    fn reference_mixed_probes(
+        fleet: Fleet,
+    ) -> (Vec<ClusterConfig>, Result<ClusterPlan, SizingError>) {
+        let mut want = Vec::new();
+        let plan = reference_mixed_search(N0, SHAPE, SHAPE, |c: ClusterConfig| {
+            want.push(c);
+            fleet.exact(c).feasible
+        });
+        if let Some(repeat) = (1..want.len()).find(|&i| want[..i].contains(&want[i])) {
+            want.remove(repeat);
+        }
+        (want, plan)
+    }
+
+    #[test]
+    fn looking_ahead_uses_the_plain_search_answers_in_order() {
+        for fleet in FLEETS {
+            let (want, want_plan) = reference_mixed_probes(fleet);
+            let mut prober = Recording::new(fleet, false);
+            let got_plan = mixed_search(N0, SHAPE, SHAPE, &mut prober);
+            assert_eq!(got_plan, want_plan, "{fleet:?}");
+            assert_eq!(prober.used(), want, "{fleet:?}");
+            // A round asks one or two configurations, and every feasible
+            // probe with a look-ahead saves one: a search that finds a
+            // plan takes fewer rounds than probes.
+            if want_plan.is_ok() {
+                assert!(prober.rounds.len() < want.len(), "{fleet:?}: {:?}", prober.rounds);
+            }
+        }
+        let peak = (640, 0.0);
+        for needed in [4u32, 10, 23, 40, 41] {
+            let fleet = Fleet { baseline: needed, green: 0, overflow: 0 };
+            let mut want = Vec::new();
+            let want_n = reference_baseline_search(peak, SHAPE, |c| {
+                want.push(c);
+                fleet.exact(c).feasible
+            });
+            let mut prober = Recording::new(fleet, false);
+            assert_eq!(baseline_search(peak, SHAPE, &mut prober), want_n, "needed {needed}");
+            assert_eq!(prober.used(), want, "needed {needed}");
+        }
+    }
+
+    #[test]
+    fn probes_with_marks_read_no_look_ahead_answer() {
+        for fleet in FLEETS {
+            let mut exact_calls = Vec::new();
+            let exact_plan = mixed_search(N0, SHAPE, SHAPE, &mut |c: ClusterConfig| {
+                exact_calls.push(c);
+                fleet.exact(c)
+            });
+            let mut prober = Recording::new(fleet, true);
+            assert_eq!(mixed_search(N0, SHAPE, SHAPE, &mut prober), exact_plan, "{fleet:?}");
+            let asked: Vec<ClusterConfig> = prober.rounds.iter().map(|&(c, _)| c).collect();
+            assert_eq!(asked, exact_calls, "{fleet:?}");
+        }
+        // The unsharded prober has a spare simulator to look ahead on
+        // only for faulted probes on two or more workers.
+        let trace = concurrent_trace(4);
+        let prepared = PreparedTrace::new(&trace, &PlacementRequest::baseline_only);
+        let model = FaultModel::paper(1);
+        let inj = FaultInjection {
+            model: &model,
+            baseline_devices: PoolDevices::baseline(),
+            green_devices: PoolDevices::greensku_full(),
+            slo: None,
+        };
+        for (faults, workers, spare) in
+            [(None, 2, false), (Some(&inj), 1, false), (Some(&inj), 2, true)]
+        {
+            let prober = unsharded(&prepared, PlacementPolicy::BestFit, faults, workers);
+            assert_eq!(prober.spare.is_some(), spare, "{workers} workers");
         }
     }
 }

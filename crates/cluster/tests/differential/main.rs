@@ -30,7 +30,11 @@
 //!   `sizing_edge_cases_match_the_oracle`: `right_size` and the two
 //!   `benchmark/` shims return the oracle's plain search's answer, `Ok`
 //!   and `Err` alike, fault-free (where the high-water-mark shortcuts of
-//!   DESIGN.md §15 answer) and faulted.
+//!   DESIGN.md §15 answer) and faulted, the faulted searches on 1, 2 and
+//!   5 workers (where they look one probe ahead).
+//! - `early_stopping_probes_match_the_full_replay`: a faulted probe
+//!   that stops at its first rejection gives the full replay's verdict,
+//!   under sampled, rack-correlated and hand-built plans.
 //! - `forked_green_probes_match_the_oracle_across_a_cursor_restart`:
 //!   the GreenSKU bisection's forked probes (DESIGN.md §15) on a plan
 //!   below its green mark, where a forked probe is feasible and the
@@ -537,6 +541,12 @@ proptest! {
                 &oracle::right_size(&trace, Some((&routed, green)), shape, policy, faults)
             );
             prop_assert_eq!(&sized, &right_size(&mixed), "a repeated search is stable");
+            // Faulted searches on two or more workers look one probe
+            // ahead (DESIGN.md §15): the answers stay the oracle's.
+            for workers in [2usize, 5] {
+                prop_assert_eq!(&right_size(&SizingRequest { workers, ..request }), &n0);
+                prop_assert_eq!(&right_size(&SizingRequest { workers, ..mixed }), &sized);
+            }
             prop_assert_eq!(
                 right_size_baseline_only_prepared(&prepared_baseline, shape, policy, faults),
                 n0.map(|(n0, _)| n0)
@@ -547,6 +557,45 @@ proptest! {
                 ),
                 sized.map(|(_, plan)| plan)
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The faulted probe's early stop (DESIGN.md §15): a feasibility run
+    /// that returns at its first rejection gives the full faulted
+    /// replay's verdict, strict and under an SLO, and when it rejects
+    /// nothing, the replay's whole fault summary.
+    #[test]
+    fn early_stopping_probes_match_the_full_replay(
+        n_vms in 1usize..60,
+        seed in 0u64..200,
+        baseline in 1u32..6,
+        green in 0u32..4,
+        model_seed in 0u64..32,
+    ) {
+        let s = Scenario::new((n_vms, seed, 0.05), (baseline, green), (model_seed, 30.0));
+        let model = sampled_model(model_seed, 30.0);
+        let slo = Some(AvailabilitySlo { max_vm_minutes_lost: 60.0 });
+        let injections = [injection(&model, None), injection(&model, slo)];
+        let mut sim = AllocationSim::new(s.config, PlacementPolicy::BestFit);
+        for plan in &s.plans {
+            sim.reset(s.config);
+            let (outcome, summary) = sim.replay_prepared_faulted(&s.prepared, plan);
+            sim.reset(s.config);
+            let stopped = sim.run_faulted_feasibility(&s.prepared, plan);
+            prop_assert_eq!(stopped.is_some(), outcome.no_rejections());
+            if let Some(stopped) = &stopped {
+                prop_assert_eq!(stopped, &summary);
+            }
+            for inj in &injections {
+                prop_assert_eq!(
+                    stopped.as_ref().is_some_and(|stopped| inj.admits(stopped)),
+                    outcome.no_rejections() && inj.admits(&summary)
+                );
+            }
         }
     }
 }

@@ -104,12 +104,6 @@ impl DefaultMaintenance {
     pub fn paper() -> Self {
         Self { afrs: ComponentAfrs::paper(), fip: FipPolicy::paper(), repair_days: 5.0 }
     }
-
-    /// Overrides the FIP policy.
-    pub fn with_fip(mut self, fip: FipPolicy) -> Self {
-        self.fip = fip;
-        self
-    }
 }
 
 impl Default for DefaultMaintenance {

@@ -52,7 +52,10 @@ pub struct PipelineConfig {
     /// bit-for-bit what they were before fault injection existed. An
     /// enabled model injects server failures into every sizing probe
     /// and the final replay, so plans provision against failure-induced
-    /// capacity loss.
+    /// capacity loss. On a machine with two or more CPUs
+    /// (`gsf_cluster::parallel::default_workers()`), an unsharded
+    /// faulted search runs each probe beside the one its bisection asks
+    /// next, on a helper thread; the outcome is the same on one CPU.
     pub faults: FaultModel,
     /// Availability SLO for fault-injected sizing, in VM-minutes of
     /// downtime per replay. `None` (the default) keeps the strict
@@ -533,11 +536,12 @@ impl GsfPipeline {
             slo: setup.slo,
         };
         let faults = (!self.config.faults.is_none()).then_some(&injection);
-        // Sharded semantics: the same searches on sharded probes, each
-        // replayed on worker threads. The result is deterministic for any
-        // worker count; only `shards` changes what is computed.
+        // Sharded probes replay on the workers; faulted unsharded
+        // searches look one probe ahead on a second one. The result is
+        // the same for any worker count; only `shards` changes what is
+        // computed.
         let shards = self.config.shards;
-        let workers = if shards > 1 { gsf_cluster::parallel::default_workers() } else { 1 };
+        let workers = gsf_cluster::parallel::default_workers();
         let (n0, plan) = right_size(&SizingRequest {
             baseline: prepared_baseline,
             mixed: Some(MixedSearch { prepared, green_shape }),

@@ -324,11 +324,37 @@ impl AllocationSim {
         prepared: &PreparedTrace,
         plan: &FaultPlan,
     ) -> (SimOutcome, FaultSummary) {
-        let (outcome, mut summary) = self.replay_prepared_events(prepared, prepared.events(), plan);
-        if summary.faults_applied() {
-            summary.availability.blast_radius_servers = plan.max_correlated_strikes();
+        let (outcome, summary) = self.replay_prepared_events(prepared, prepared.events(), plan);
+        (outcome, with_blast_radius(summary, plan))
+    }
+
+    /// A faulted feasibility run: the replay of
+    /// [`Self::replay_prepared_faulted`], returning `None` at the first
+    /// rejected arrival. A rejection makes a cluster infeasible whatever
+    /// its fault summary says, so the sizing searches need no more of
+    /// that replay. A run that rejects nothing returns the replay's
+    /// fault summary. Call [`Self::reset`] before running again.
+    ///
+    /// It shares the replay's strike, evacuation and retry code but has
+    /// its own event loop, so the replay's loop carries no check for the
+    /// early return.
+    pub fn run_faulted_feasibility(
+        &mut self,
+        prepared: &PreparedTrace,
+        plan: &FaultPlan,
+    ) -> Option<FaultSummary> {
+        let mut run = Run::new(self, prepared, plan);
+        for event in prepared.events() {
+            run.advance(event.time_s);
+            match event.kind {
+                VmEventKind::Arrival => {
+                    run.place(event.slot, event.time_s)?;
+                }
+                VmEventKind::Departure => run.depart(event.slot, event.time_s),
+            }
         }
-        (outcome, summary)
+        run.advance(prepared.duration_s());
+        Some(with_blast_radius(run.finish().1, plan))
     }
 
     /// Replays an explicit event slice of `prepared` — the whole trace
@@ -460,6 +486,15 @@ impl AllocationSim {
             FaultPool::Green => (&mut self.green, &mut self.arena),
         }
     }
+}
+
+/// `summary` of a whole-trace replay under `plan`, with the blast radius
+/// of the plan when any fault struck.
+fn with_blast_radius(mut summary: FaultSummary, plan: &FaultPlan) -> FaultSummary {
+    if summary.faults_applied() {
+        summary.availability.blast_radius_servers = plan.max_correlated_strikes();
+    }
+    summary
 }
 
 /// One server pool: its servers, their free-capacity index, the
