@@ -28,17 +28,15 @@ done
 # (D4), and panic-reachability from public model APIs (P2). Runs before
 # the test gates: a lint violation is cheaper to report than a flaked
 # property suite is to debug. The JSON report lands in results/ for
-# auditing; findings budgeted in lint_baseline.txt (currently none) are
-# tolerated, anything else fails the build.
+# auditing; any finding fails the build.
 mkdir -p results
 cargo build -q -p gsf-lint --release
-if ./target/release/gsf-lint --format json --baseline lint_baseline.txt \
-    > results/lint_report.json; then
+if ./target/release/gsf-lint --format json > results/lint_report.json; then
     echo "gsf-lint: clean (report in results/lint_report.json)"
 else
     status=$?
     cat results/lint_report.json
-    echo "gsf-lint: non-baselined findings (see results/lint_report.json)" >&2
+    echo "gsf-lint: findings (see results/lint_report.json)" >&2
     exit "$status"
 fi
 # --locked: a manifest change committed without its Cargo.lock fails

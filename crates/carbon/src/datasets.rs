@@ -374,11 +374,6 @@ pub mod open_source {
             greensku_full(),
         ]
     }
-
-    /// The three GreenSKUs compared in the Fig. 11/12 cluster sweeps.
-    pub fn greenskus() -> Vec<ServerSpec> {
-        vec![greensku_efficient(), greensku_cxl(), greensku_full()]
-    }
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@ use gsf_carbon::cost::{CostModel, CostParams};
 use gsf_carbon::datasets::open_source;
 use gsf_carbon::units::{CarbonIntensity, Years};
 use gsf_carbon::{CarbonModel, ModelParams, ServerSpec};
+use gsf_core::pipeline::MAX_SHARDS;
 use gsf_core::report::deployment_report;
 use gsf_core::search::{evaluate_space_with, pareto_front, CandidateSpace};
 use gsf_core::{
@@ -213,11 +214,6 @@ fn count_at_least(
     }
     Ok(n)
 }
-
-/// The most shards `--shards` may ask for. Every shard gets its own
-/// simulator and partition bounds, so an unchecked count allocates
-/// without limit.
-const MAX_SHARDS: usize = 1024;
 
 /// Reads `--shards`, at most [`MAX_SHARDS`]. 0 and 1 both select the
 /// unsharded engine and read as 1.

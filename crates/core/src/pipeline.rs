@@ -28,6 +28,11 @@ use gsf_workloads::{
 };
 use std::sync::Arc;
 
+/// The most shards [`PipelineConfig::shards`] may ask for. Every shard
+/// gets its own simulator and partition bounds, so an unchecked count
+/// allocates without limit.
+pub const MAX_SHARDS: usize = 1024;
+
 /// Pipeline configuration: the GSF inputs that are not the trace or the
 /// design itself.
 #[derive(Debug, Clone)]
@@ -38,15 +43,6 @@ pub struct PipelineConfig {
     pub policy: PlacementPolicy,
     /// Growth-buffer policy (baseline-only, per §V).
     pub buffer: GrowthBufferPolicy,
-    /// The fleet model used to translate cluster savings into
-    /// data-center savings.
-    pub fleet: FleetModel,
-    /// Renewables fraction of the data center.
-    pub renewable_fraction: f64,
-    /// Maintenance component (AFRs + Fail-In-Place); its out-of-service
-    /// fraction inflates cluster sizes (the Fig. 6 maintenance → cluster
-    /// sizing edge).
-    pub maintenance: DefaultMaintenance,
     /// Fault-injection model. [`FaultModel::none`] (the default) is a
     /// strict identity: sizing, replay, and every outcome field are
     /// bit-for-bit what they were before fault injection existed. An
@@ -72,6 +68,8 @@ pub struct PipelineConfig {
     /// `gsf_cluster::parallel::default_workers()` threads — a *different*
     /// (deterministic) semantics from the unsharded engine, never a mere
     /// execution detail, which is why the sizing cache keys on it.
+    /// Evaluation fails with [`GsfError::InvalidConfig`] above
+    /// [`MAX_SHARDS`].
     pub shards: usize,
 }
 
@@ -81,9 +79,6 @@ impl Default for PipelineConfig {
             carbon_params: ModelParams::default_open_source(),
             policy: PlacementPolicy::BestFit,
             buffer: GrowthBufferPolicy::default_headroom(),
-            fleet: FleetModel::azure_calibrated(),
-            renewable_fraction: DEFAULT_RENEWABLE_FRACTION,
-            maintenance: DefaultMaintenance::paper(),
             faults: FaultModel::none(),
             availability_slo: None,
             shards: 1,
@@ -457,6 +452,12 @@ impl GsfPipeline {
     /// Everything one evaluation derives from `(design, ci)` before
     /// touching any trace data.
     fn setup(&self, design: &GreenSkuDesign, ci: CarbonIntensity) -> Result<EvalSetup, GsfError> {
+        if self.config.shards > MAX_SHARDS {
+            return Err(GsfError::InvalidConfig(format!(
+                "{} shards exceeds the maximum of {MAX_SHARDS}",
+                self.config.shards
+            )));
+        }
         let params = self.config.carbon_params.with_carbon_intensity(ci);
         // One assessment per SKU per parameter set: the router and the
         // emission accounting share the same cached assessments.
@@ -589,7 +590,7 @@ impl GsfPipeline {
         // Maintenance (§IV-B): out-of-service servers need spare
         // capacity; inflate each pool by its OOS fraction (Little's law
         // over post-FIP repair rates).
-        let m = &self.config.maintenance;
+        let m = DefaultMaintenance::paper();
         let oos_baseline = m
             .oos_fraction(m.repair_rate(setup.baseline_devices.dimms, setup.baseline_devices.ssds));
         let oos_green =
@@ -614,11 +615,10 @@ impl GsfPipeline {
         let baseline_emissions = oos_emissions(&baseline_buffered);
         let cluster_savings = savings_fraction(mixed_emissions, baseline_emissions);
 
-        // DC-level: scale by compute servers' share of DC emissions.
-        let compute_share = self
-            .config
-            .fleet
-            .breakdown(self.config.renewable_fraction)
+        // DC-level: scale by compute servers' share of DC emissions in
+        // the Azure-calibrated fleet at the default renewables fraction.
+        let compute_share = FleetModel::azure_calibrated()
+            .breakdown(DEFAULT_RENEWABLE_FRACTION)
             .category_share(FleetCategory::ComputeServers);
         let dc_savings = cluster_savings * compute_share;
 
@@ -799,6 +799,34 @@ mod tests {
         let high = gap_at(0.5);
         assert!(low > 0.03, "Full wins clearly on a clean grid: {low}");
         assert!(low > high, "gap must shrink with CI: {low} vs {high}");
+    }
+
+    #[test]
+    fn default_config_pins_maintenance_and_dc_outputs() {
+        // The out-of-service fractions come from the paper's maintenance
+        // model and the DC-level savings from the Azure-calibrated fleet
+        // at the default renewables fraction; the pinned bits catch a
+        // change to either.
+        let trace = TraceGenerator::new(TraceParams {
+            duration_hours: 8.0,
+            arrivals_per_hour: 40.0,
+            ..TraceParams::default()
+        })
+        .generate(&SeedFactory::new(7), 0);
+        let o = GsfPipeline::new(PipelineConfig::default())
+            .evaluate(&GreenSkuDesign::full(), &trace)
+            .unwrap();
+        assert_eq!(o.oos_baseline.to_bits(), 0x3f3a_eebf_0d9b_4887, "{}", o.oos_baseline);
+        assert_eq!(o.oos_green.to_bits(), 0x3f40_28d9_0829_f850, "{}", o.oos_green);
+        assert_eq!(o.dc_savings.to_bits(), 0x3fb2_cb68_c158_2d5f, "{}", o.dc_savings);
+    }
+
+    #[test]
+    fn shard_count_above_the_ceiling_is_a_typed_error() {
+        let pipeline =
+            GsfPipeline::new(PipelineConfig { shards: usize::MAX, ..PipelineConfig::default() });
+        let err = pipeline.evaluate(&GreenSkuDesign::full(), &small_trace()).unwrap_err();
+        assert!(matches!(err, GsfError::InvalidConfig(_)), "{err}");
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Design ablations (DESIGN.md §4): each row varies one design choice
-//! and records the outcome it moves — packing density, repair rate,
-//! per-core savings, tail-latency estimate, or buffered cluster size.
+//! and records the outcome it moves — right-sized cluster and its
+//! packing density, repair rate, per-core savings, tail-latency
+//! estimate, or buffered cluster size.
 
 use crate::context::{ExpContext, ExpError};
 use gsf_carbon::datasets::open_source;
 use gsf_carbon::{CarbonModel, ModelParams};
 use gsf_cluster::buffer::GrowthBufferPolicy;
-use gsf_cluster::sizing::ClusterPlan;
+use gsf_cluster::sizing::{right_size, ClusterPlan, SizingRequest};
 use gsf_core::GsfError;
 use gsf_maintenance::{FipPolicy, ServerAfr};
 use gsf_perf::analytic::MmcQueue;
@@ -36,16 +37,20 @@ fn table(ctx: &ExpContext) -> Result<Table, ExpError> {
         t.row(vec![ablation.to_string(), setting.to_string(), metric.to_string(), value]);
     };
 
-    // Placement policy: one ~500-VM trace on 24 Gen3 servers.
+    // Placement policy: each policy right-sizes one 24 h trace of
+    // ~4,800 VMs. A cluster that fits every policy would show no
+    // rejections and hide the difference between them.
     let trace = TraceGenerator::new(TraceParams {
-        duration_hours: 12.0,
-        arrivals_per_hour: 40.0,
+        duration_hours: 24.0,
+        arrivals_per_hour: 200.0,
         ..TraceParams::default()
     })
     .generate(&seeds, 0);
     let prepared = PreparedTrace::new(&trace, &PlacementRequest::baseline_only);
     for policy in [PlacementPolicy::BestFit, PlacementPolicy::FirstFit, PlacementPolicy::WorstFit] {
-        let (out, _) = AllocationSim::new(ClusterConfig::baseline_only(24), policy)
+        let (n0, _) =
+            right_size(&SizingRequest::new(&prepared, ServerShape::baseline_gen3(), policy))?;
+        let (out, _) = AllocationSim::new(ClusterConfig::baseline_only(n0), policy)
             .replay_prepared_faulted(&prepared, &FaultPlan::empty());
         let policy = policy.to_string();
         row(
@@ -54,7 +59,7 @@ fn table(ctx: &ExpContext) -> Result<Table, ExpError> {
             "core density",
             fmt_f(out.metrics.baseline.mean_core_density(), 3),
         );
-        row("Placement policy", &policy, "rejected VMs", out.rejected.to_string());
+        row("Placement policy", &policy, "servers needed (n0)", n0.to_string());
     }
 
     // Fail-In-Place effectiveness on repair rates (per 100 servers).
@@ -139,6 +144,11 @@ mod tests {
         let num = |ablation: &str, setting: &str, metric: &str| -> f64 {
             cell(ablation, setting, metric).trim_end_matches('%').parse().unwrap()
         };
+        // Best-fit packs at least as tightly as first-fit, and both need
+        // fewer servers than worst-fit.
+        let n0 = |policy: &str| num("Placement policy", policy, "servers needed (n0)");
+        assert!(n0("best-fit") <= n0("first-fit"), "{} vs {}", n0("best-fit"), n0("first-fit"));
+        assert!(n0("first-fit") < n0("worst-fit"), "{} vs {}", n0("first-fit"), n0("worst-fit"));
         // Without FIP every failure is a repair; FIP cuts the rate.
         assert_eq!(cell("FIP effectiveness", "0%", "Baseline repair rate"), "4.80");
         assert!(

@@ -2,11 +2,11 @@
 //! the two-phase workspace pipeline (per-file token/unit rules, then
 //! cross-file call-graph rules), and the workspace walk.
 //!
-//! All filesystem access in the analyzer lives in this module (and the
-//! CLI in `main.rs`): everything downstream — parser, symbols, call
-//! graph, units, fixes, baselines — is pure functions over strings, so
-//! the lint crate can hold itself to the same F1 bar as the model
-//! crates with exactly one justified suppression.
+//! All filesystem access in the analyzer lives in this module:
+//! everything downstream — parser, symbols, call graph, units — is
+//! pure functions over strings, so the lint crate can hold itself to
+//! the same F1 bar as the model crates with exactly one justified
+//! suppression.
 // gsf-lint: allow-file(F1) -- the analyzer's one sanctioned I/O site: it must read the sources it lints
 
 use crate::parser;
@@ -324,29 +324,27 @@ fn finalize(file: &str, raw: Vec<RawFinding>, allows: &[Allow]) -> Vec<Finding> 
 }
 
 /// One loaded, lexed, and parsed source file.
-pub struct LoadedFile {
+struct LoadedFile {
     /// Workspace-relative path (diagnostic label).
-    pub label: String,
+    label: String,
     /// Crate directory name under `crates/`.
-    pub crate_name: String,
+    crate_name: String,
     /// File name within the crate's `src/`.
-    pub file_name: String,
-    /// Raw source text.
-    pub source: String,
+    file_name: String,
     /// Token stream and comments.
-    pub lexed: tokenizer::Lexed,
+    lexed: tokenizer::Lexed,
     /// Test-exemption mask over the tokens.
-    pub exempt: Vec<bool>,
+    exempt: Vec<bool>,
     /// Coarse item tree.
-    pub parsed: parser::File,
+    parsed: parser::File,
 }
 
 /// The loaded workspace: every source file plus the crate dep graph.
-pub struct LoadedWorkspace {
+struct LoadedWorkspace {
     /// Files in deterministic (crate, path) order.
-    pub files: Vec<LoadedFile>,
+    files: Vec<LoadedFile>,
     /// Crate dir name → direct `gsf-*` dependency dir names.
-    pub deps: BTreeMap<String, Vec<String>>,
+    deps: BTreeMap<String, Vec<String>>,
 }
 
 /// Reads, lexes, and parses every `crates/*/src/**/*.rs` under `root`,
@@ -357,7 +355,7 @@ pub struct LoadedWorkspace {
 /// Propagates I/O failures reading the tree; a missing `crates/`
 /// directory is reported as such rather than passing an empty scan off
 /// as a clean one.
-pub fn load_workspace(root: &Path) -> io::Result<LoadedWorkspace> {
+fn load_workspace(root: &Path) -> io::Result<LoadedWorkspace> {
     let crates_dir = root.join("crates");
     if !crates_dir.is_dir() {
         return Err(io::Error::new(
@@ -404,7 +402,6 @@ pub fn load_workspace(root: &Path) -> io::Result<LoadedWorkspace> {
                 label,
                 crate_name: crate_name.clone(),
                 file_name,
-                source,
                 lexed,
                 exempt,
                 parsed,
@@ -434,7 +431,7 @@ pub fn analyze_source(file: &str, ctx: FileCtx<'_>, source: &str) -> Vec<Finding
 /// is per-file (token rules, balance, units), phase two builds the
 /// symbol table and call graph and runs D4/P2; both phases' findings
 /// go through the same per-file suppression directives.
-pub fn analyze_loaded(ws: &LoadedWorkspace) -> Vec<Finding> {
+fn analyze_loaded(ws: &LoadedWorkspace) -> Vec<Finding> {
     let mut raw_by_file: BTreeMap<&str, Vec<RawFinding>> = BTreeMap::new();
     let mut allows_by_file: BTreeMap<&str, Vec<Allow>> = BTreeMap::new();
     for f in &ws.files {
@@ -489,7 +486,9 @@ pub fn analyze_loaded(ws: &LoadedWorkspace) -> Vec<Finding> {
 ///
 /// # Errors
 ///
-/// Propagates I/O failures from [`load_workspace`].
+/// Propagates I/O failures reading the tree; a missing `crates/`
+/// directory is reported as such rather than passing an empty scan off
+/// as a clean one.
 pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     Ok(analyze_loaded(&load_workspace(root)?))
 }

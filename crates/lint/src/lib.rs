@@ -28,9 +28,7 @@
 //! filesystem/clock/entropy reachable from a replay entry point in
 //! *any* crate of its dependency cone, and **P2** no undocumented
 //! panic path behind a public model-crate API (a rustdoc `# Panics`
-//! section is the accepted contract). `--fix` applies the two
-//! mechanical rewrites ([`fix`]); `--baseline` stages adoption of a
-//! new rule ([`baseline`]).
+//! section is the accepted contract).
 //!
 //! Findings carry `file:line:col` and a rule id; any finding makes the
 //! binary exit non-zero. A violation that is genuinely safe is
@@ -47,10 +45,8 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod engine;
-pub mod fix;
 pub mod parser;
 pub mod report;
 pub mod rules;

@@ -1,36 +1,21 @@
-//! CLI entry point: `gsf-lint [--root PATH] [--format text|json]
-//! [--fix] [--baseline PATH] [--write-baseline PATH]`.
+//! CLI entry point: `gsf-lint [--root PATH] [--format text|json]`.
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
-// gsf-lint: allow-file(F1) -- driver binary: reads the baseline file and writes --fix rewrites back to disk
 
-use gsf_lint::{baseline, engine, fix, report};
-use std::fs;
+use gsf_lint::{engine, report};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: gsf-lint [--root PATH] [--format text|json] [--fix]
-                [--baseline PATH] [--write-baseline PATH]
+const USAGE: &str = "usage: gsf-lint [--root PATH] [--format text|json]
 
 Walks PATH/crates/*/src (default: the current directory) and enforces
 the determinism, numeric-safety, unit-safety, and reachability catalog
 (DESIGN.md §10, §14). Exits 0 when clean, 1 on findings, 2 on
-usage/I-O errors.
-
-  --fix                 apply mechanical rewrites (N1 comparator
-                        migration, suppression normalization) before
-                        analyzing; idempotent
-  --baseline PATH       tolerate findings budgeted in PATH (counts per
-                        file and rule; A0 is never baselinable)
-  --write-baseline PATH write the current findings as a baseline and
-                        exit 0 (for landing a new rule incrementally)";
+usage/I-O errors.";
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut json = false;
-    let mut apply_fixes = false;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -43,15 +28,6 @@ fn main() -> ExitCode {
                 Some("text") => json = false,
                 _ => return usage_error("--format requires `text` or `json`"),
             },
-            "--fix" => apply_fixes = true,
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage_error("--baseline requires a path"),
-            },
-            "--write-baseline" => match args.next() {
-                Some(p) => write_baseline = Some(PathBuf::from(p)),
-                None => return usage_error("--write-baseline requires a path"),
-            },
             "-h" | "--help" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -59,63 +35,13 @@ fn main() -> ExitCode {
             other => return usage_error(&format!("unknown argument `{other}`")),
         }
     }
-    let mut ws = match engine::load_workspace(&root) {
-        Ok(ws) => ws,
+    let findings = match engine::analyze_workspace(&root) {
+        Ok(findings) => findings,
         Err(e) => {
             eprintln!("gsf-lint: {e}");
             return ExitCode::from(2);
         }
     };
-    if apply_fixes {
-        let mut fixed = 0usize;
-        for f in &ws.files {
-            if let Some(new_source) = fix::fix_source(&f.source) {
-                if let Err(e) = fs::write(root.join(&f.label), &new_source) {
-                    eprintln!("gsf-lint: writing {}: {e}", f.label);
-                    return ExitCode::from(2);
-                }
-                fixed += 1;
-            }
-        }
-        eprintln!("gsf-lint: fixed {fixed} file(s)");
-        if fixed > 0 {
-            // Re-load so the analysis below sees the fixed tree.
-            ws = match engine::load_workspace(&root) {
-                Ok(ws) => ws,
-                Err(e) => {
-                    eprintln!("gsf-lint: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-        }
-    }
-    let mut findings = engine::analyze_loaded(&ws);
-    if let Some(path) = write_baseline {
-        let text = baseline::render(&findings);
-        if let Err(e) = fs::write(&path, text) {
-            eprintln!("gsf-lint: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("gsf-lint: baseline written to {}", path.display());
-        return ExitCode::SUCCESS;
-    }
-    if let Some(path) = baseline_path {
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("gsf-lint: reading {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let b = match baseline::Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("gsf-lint: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        findings = b.filter(findings);
-    }
     print!("{}", if json { report::json(&findings) } else { report::text(&findings) });
     if findings.is_empty() {
         ExitCode::SUCCESS

@@ -134,6 +134,5 @@ proptest! {
         let _ = parser::parse(&lexed.tokens);
         let ctx = FileCtx { crate_name: "vmalloc", file_name: "lib.rs" };
         let _ = analyze_source("fuzz.rs", ctx, &src);
-        let _ = gsf_lint::fix::fix_source(&src);
     }
 }

@@ -85,23 +85,6 @@ impl EmpiricalCdf {
         }
         out
     }
-
-    /// Renders the CDF sampled at `points` evenly spaced x-values between
-    /// `lo` and `hi` inclusive. Useful for fixed-grid comparisons.
-    pub fn series_on_grid(&self, lo: f64, hi: f64, points: usize) -> Vec<(f64, f64)> {
-        if points == 0 {
-            return Vec::new();
-        }
-        if points == 1 {
-            return vec![(lo, self.eval(lo))];
-        }
-        (0..points)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (points - 1) as f64;
-                (x, self.eval(x))
-            })
-            .collect()
-    }
 }
 
 impl FromIterator<f64> for EmpiricalCdf {
@@ -144,16 +127,6 @@ mod tests {
     fn non_finite_samples_dropped() {
         let cdf = EmpiricalCdf::from_samples(vec![f64::NAN, 1.0, f64::INFINITY]);
         assert_eq!(cdf.len(), 1);
-    }
-
-    #[test]
-    fn grid_series_monotone() {
-        let cdf: EmpiricalCdf = (0..100).map(|i| i as f64).collect();
-        let series = cdf.series_on_grid(0.0, 99.0, 25);
-        assert_eq!(series.len(), 25);
-        for w in series.windows(2) {
-            assert!(w[1].1 >= w[0].1);
-        }
     }
 
     #[test]

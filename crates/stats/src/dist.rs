@@ -3,8 +3,8 @@
 //! `rand_distr` is not available in the offline dependency set, so the
 //! samplers the workload and performance simulators need are implemented
 //! here: [`Exponential`] (inverse CDF), [`LogNormal`] (Box–Muller),
-//! [`Pareto`] (inverse CDF), [`Zipf`] (rejection-free CDF table for the
-//! sizes used here), and [`Categorical`] (cumulative-weight table).
+//! [`Pareto`] (inverse CDF), and [`Categorical`] (cumulative-weight
+//! table).
 //!
 //! All samplers implement [`rand::distributions::Distribution<f64>`] (or
 //! `<usize>` for the discrete ones), so they compose with any
@@ -234,71 +234,6 @@ impl Distribution<f64> for Pareto {
     }
 }
 
-/// Zipf distribution over `{0, 1, ..., n-1}` with exponent `s`.
-///
-/// Implemented with a precomputed cumulative table (the `n` used in this
-/// workspace is small — application catalogs, VM size classes), sampled by
-/// binary search. Rank 0 is the most probable element.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Zipf {
-    cumulative: Vec<f64>,
-}
-
-impl Zipf {
-    /// Creates a Zipf distribution over `n` ranks with exponent `s`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `n == 0` or `s` is not positive and finite.
-    pub fn new(n: usize, s: f64) -> Result<Self, DistError> {
-        if n == 0 {
-            return Err(DistError::DegenerateWeights);
-        }
-        let s = check_positive("s", s)?;
-        let mut cumulative = Vec::with_capacity(n);
-        let mut total = 0.0;
-        for k in 1..=n {
-            total += 1.0 / (k as f64).powf(s);
-            cumulative.push(total);
-        }
-        for c in &mut cumulative {
-            *c /= total;
-        }
-        Ok(Self { cumulative })
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// Whether the distribution has no ranks (never true after `new`).
-    pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
-
-    /// Probability of rank `k` (0-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn pmf(&self, k: usize) -> f64 {
-        let hi = self.cumulative[k];
-        let lo = if k == 0 { 0.0 } else { self.cumulative[k - 1] };
-        hi - lo
-    }
-}
-
-impl Distribution<usize> for Zipf {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        match self.cumulative.binary_search_by(|c| c.total_cmp(&u)) {
-            Ok(i) => (i + 1).min(self.cumulative.len() - 1),
-            Err(i) => i.min(self.cumulative.len() - 1),
-        }
-    }
-}
-
 /// Categorical distribution over `{0, ..., n-1}` with arbitrary weights.
 ///
 /// Used to assign application classes to VMs proportionally to fleet
@@ -432,31 +367,6 @@ mod tests {
         let mut rng = SeedFactory::new(1).stream("pareto");
         for _ in 0..10_000 {
             assert!(d.sample(&mut rng) >= 2.5);
-        }
-    }
-
-    #[test]
-    fn zipf_pmf_sums_to_one_and_is_decreasing() {
-        let z = Zipf::new(10, 1.1).unwrap();
-        let total: f64 = (0..10).map(|k| z.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        for k in 1..10 {
-            assert!(z.pmf(k) <= z.pmf(k - 1));
-        }
-    }
-
-    #[test]
-    fn zipf_empirical_matches_pmf() {
-        let z = Zipf::new(5, 1.0).unwrap();
-        let mut rng = SeedFactory::new(3).stream("zipf");
-        let n = 200_000;
-        let mut counts = [0usize; 5];
-        for _ in 0..n {
-            counts[z.sample(&mut rng)] += 1;
-        }
-        for (k, &count) in counts.iter().enumerate() {
-            let emp = count as f64 / n as f64;
-            assert!((emp - z.pmf(k)).abs() < 0.01, "rank {k}: {emp} vs {}", z.pmf(k));
         }
     }
 

@@ -2,10 +2,10 @@
 //!
 //! The offline dependency set does not include `rand_distr`, so this crate
 //! implements the distribution samplers the simulators need (exponential,
-//! lognormal, Pareto, Zipf, categorical) on top of [`rand`], together with
-//! the descriptive-statistics utilities used throughout the evaluation:
-//! empirical CDFs, exact and streaming percentiles, moving averages,
-//! confidence intervals, and text/CSV table rendering.
+//! lognormal, Pareto, categorical) on top of [`rand`], together with the
+//! descriptive-statistics utilities used throughout the evaluation:
+//! empirical CDFs, exact percentiles, a moving average, confidence
+//! intervals, Kolmogorov–Smirnov tests, and text/CSV table rendering.
 //!
 //! Everything is deterministic given a seed; the simulators in the rest of
 //! the workspace derive their sub-streams from [`rng::SeedFactory`].
@@ -41,10 +41,10 @@ pub mod table;
 
 pub use cdf::EmpiricalCdf;
 pub use ci::ConfidenceInterval;
-pub use dist::{Categorical, DistError, Exponential, LogNormal, Pareto, Zipf};
+pub use dist::{Categorical, DistError, Exponential, LogNormal, Pareto};
 pub use ks::{ks_one_sample, ks_two_sample, KsResult};
-pub use moving::{Ewma, MovingAverage};
-pub use percentile::{percentile_sorted, Percentiles, StreamingQuantile};
+pub use moving::MovingAverage;
+pub use percentile::{percentile_sorted, Percentiles};
 pub use rng::{SeedFactory, SimRng};
 pub use summary::Summary;
 pub use table::{csv_line, Table};

@@ -1,8 +1,7 @@
 //! Moving averages.
 //!
 //! Fig. 2 of the paper overlays a moving average on raw monthly failure
-//! rates; [`MovingAverage`] reproduces that smoothing. [`Ewma`] is used by
-//! the load-sweep warm-up detection in the performance simulator.
+//! rates; [`MovingAverage`] reproduces that smoothing.
 
 /// Fixed-window moving average over a sequence.
 #[derive(Debug, Clone)]
@@ -58,40 +57,6 @@ impl MovingAverage {
     }
 }
 
-/// Exponentially weighted moving average.
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Self { alpha, value: None }
-    }
-
-    /// Pushes a value and returns the updated average.
-    pub fn push(&mut self, x: f64) -> f64 {
-        let next = match self.value {
-            None => x,
-            Some(v) => self.alpha * x + (1.0 - self.alpha) * v,
-        };
-        self.value = Some(next);
-        next
-    }
-
-    /// Current average; `None` if nothing has been pushed.
-    pub fn current(&self) -> Option<f64> {
-        self.value
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -118,21 +83,5 @@ mod tests {
     #[should_panic(expected = "window must be positive")]
     fn moving_average_zero_window_panics() {
         MovingAverage::new(0);
-    }
-
-    #[test]
-    fn ewma_converges_to_constant() {
-        let mut e = Ewma::new(0.3);
-        for _ in 0..200 {
-            e.push(4.0);
-        }
-        assert!((e.current().unwrap() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ewma_first_value_initializes() {
-        let mut e = Ewma::new(0.5);
-        assert!(e.current().is_none());
-        assert_eq!(e.push(10.0), 10.0);
     }
 }

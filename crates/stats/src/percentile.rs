@@ -1,9 +1,8 @@
-//! Exact and streaming percentile estimation.
+//! Exact percentile estimation.
 //!
 //! The performance simulator reports p95/p99 tail latencies (Figs. 7–8 of
 //! the paper). [`Percentiles`] collects samples and computes exact order
-//! statistics; [`StreamingQuantile`] is a P²-style constant-memory
-//! estimator used when sample counts would be prohibitive.
+//! statistics.
 
 /// Computes the `q`-quantile (`q` in `[0, 1]`) of an already **sorted**
 /// slice by linear interpolation between closest ranks.
@@ -135,150 +134,10 @@ impl FromIterator<f64> for Percentiles {
     }
 }
 
-/// Constant-memory quantile estimator (the P² algorithm of Jain & Chlamtac).
-///
-/// Tracks five markers whose heights converge to the target quantile. Used
-/// by long simulations where retaining every latency sample would be
-/// wasteful; accuracy is validated against [`Percentiles`] in tests.
-#[derive(Debug, Clone)]
-pub struct StreamingQuantile {
-    q: f64,
-    /// Marker heights.
-    heights: [f64; 5],
-    /// Marker positions (1-based ranks).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired position increments per observation.
-    increments: [f64; 5],
-    /// Number of observations seen.
-    count: usize,
-    /// Initial buffer until five observations arrive.
-    initial: Vec<f64>,
-}
-
-impl StreamingQuantile {
-    /// Creates an estimator for the `q`-quantile (`q` clamped to `(0,1)`).
-    pub fn new(q: f64) -> Self {
-        let q = q.clamp(1e-6, 1.0 - 1e-6);
-        Self {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-            initial: Vec::with_capacity(5),
-        }
-    }
-
-    /// The targeted quantile.
-    pub fn q(&self) -> f64 {
-        self.q
-    }
-
-    /// Number of observations seen so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Feeds one observation. Non-finite observations are ignored.
-    pub fn record(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.count += 1;
-        if self.initial.len() < 5 {
-            self.initial.push(x);
-            if self.initial.len() == 5 {
-                self.initial.sort_by(f64::total_cmp);
-                for (h, v) in self.heights.iter_mut().zip(&self.initial) {
-                    *h = *v;
-                }
-            }
-            return;
-        }
-
-        // Find cell k such that heights[k] <= x < heights[k+1].
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            for i in 0..4 {
-                if self.heights[i] <= x && x < self.heights[i + 1] {
-                    k = i;
-                    break;
-                }
-            }
-            k
-        };
-
-        for p in self.positions.iter_mut().skip(k + 1) {
-            *p += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(&self.increments) {
-            *d += inc;
-        }
-
-        // Adjust interior markers with piecewise-parabolic interpolation.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let np = self.positions[i + 1] - self.positions[i];
-            let pp = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && np > 1.0) || (d <= -1.0 && pp < -1.0) {
-                let sign = d.signum();
-                let parabolic = self.parabolic(i, sign);
-                let new_h = if self.heights[i - 1] < parabolic && parabolic < self.heights[i + 1] {
-                    parabolic
-                } else {
-                    self.linear(i, sign)
-                };
-                self.heights[i] = new_h;
-                self.positions[i] += sign;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, sign: f64) -> f64 {
-        let p = &self.positions;
-        let h = &self.heights;
-        let term1 = sign / (p[i + 1] - p[i - 1]);
-        let term2 = (p[i] - p[i - 1] + sign) * (h[i + 1] - h[i]) / (p[i + 1] - p[i]);
-        let term3 = (p[i + 1] - p[i] - sign) * (h[i] - h[i - 1]) / (p[i] - p[i - 1]);
-        h[i] + term1 * (term2 + term3)
-    }
-
-    fn linear(&self, i: usize, sign: f64) -> f64 {
-        let j = (i as f64 + sign) as usize;
-        self.heights[i]
-            + sign * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// Current estimate of the quantile; `None` before any observation.
-    pub fn estimate(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if self.initial.len() < 5 {
-            let mut buf = self.initial.clone();
-            buf.sort_by(f64::total_cmp);
-            return percentile_sorted(&buf, self.q);
-        }
-        Some(self.heights[2])
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::dist::LogNormal;
-    use crate::rng::SeedFactory;
-    use rand::distributions::Distribution;
 
     #[test]
     fn percentile_of_empty_is_none() {
@@ -323,32 +182,5 @@ mod tests {
         let q95 = p.quantile(0.95).unwrap();
         let q99 = p.quantile(0.99).unwrap();
         assert!(q50 <= q95 && q95 <= q99);
-    }
-
-    #[test]
-    fn streaming_estimator_close_to_exact() {
-        let d = LogNormal::with_mean(5.0, 0.8).unwrap();
-        let mut rng = SeedFactory::new(11).stream("p2");
-        let mut exact = Percentiles::new();
-        let mut stream = StreamingQuantile::new(0.95);
-        for _ in 0..100_000 {
-            let x = d.sample(&mut rng);
-            exact.record(x);
-            stream.record(x);
-        }
-        let e = exact.p95().unwrap();
-        let s = stream.estimate().unwrap();
-        assert!((s - e).abs() / e < 0.05, "stream {s} vs exact {e}");
-    }
-
-    #[test]
-    fn streaming_estimator_small_counts() {
-        let mut s = StreamingQuantile::new(0.5);
-        assert!(s.estimate().is_none());
-        s.record(3.0);
-        s.record(1.0);
-        s.record(2.0);
-        let est = s.estimate().unwrap();
-        assert!((est - 2.0).abs() < 1e-9);
     }
 }
