@@ -43,24 +43,21 @@ fi
 # here instead of silently rewriting the lock file.
 cargo build --release --locked
 # --workspace: a bare `cargo test` from the root only tests the root
-# package (integration suites), silently skipping every crate.
+# package (integration suites), silently skipping every crate. Among the
+# suites this runs are three hard gates:
+# - gsf-core `fault_determinism`: FaultModel::none() is bit-identical to
+#   no fault injection, and enabled models are seed-deterministic;
+# - gsf-cluster `differential`: the production replay (prepared trace,
+#   placement index, arena, shards) and every sizing path stay bit for
+#   bit equal to the test oracle (linear scan, BTreeMap, plain
+#   bisection), faulted and fault-free, across policies, reset reuse and
+#   worker counts, and the high-water-mark sizing shortcuts return the
+#   oracle's plain-search answers;
+# - gsf-perf `zero_alloc_replay`: after one warming replay the
+#   steady-state event loop does not allocate per event (a 10x-larger
+#   trace allocates exactly as much as the small one), under a counting
+#   global allocator in its own binary.
 cargo test -q --workspace
-# Fault-injection determinism is a hard guarantee (FaultModel::none()
-# bit-identical; enabled models seed-deterministic): run its suite
-# explicitly so a filtered or partial test run cannot mask a drift.
-cargo test -q -p gsf-core --test fault_determinism
-# The differential gate: the production replay (prepared trace,
-# placement index, arena, shards) and every sizing path must stay bit
-# for bit equal to the test oracle (linear scan, BTreeMap, plain
-# bisection), faulted and fault-free, across policies, reset reuse and
-# worker counts; the high-water-mark sizing shortcuts must return the
-# oracle's plain-search answers.
-cargo test -q -p gsf-cluster --test differential
-# Allocation budget: after one warming replay the steady-state event
-# loop must not allocate per event — a 10x-larger trace must allocate
-# exactly as much as the small one. Runs under a counting global
-# allocator in its own binary.
-cargo test -q -p gsf-perf --test zero_alloc_replay
 # Streamed-replay equivalence: evaluating from a chunked trace stream
 # (bounded memory, no materialized Trace) must stay bit-identical to
 # the in-memory path and share its cache entries. --include-ignored

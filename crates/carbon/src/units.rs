@@ -184,20 +184,6 @@ impl Watts {
     }
 }
 
-impl Gigabytes {
-    /// Converts to terabytes (decimal, 1000 GB = 1 TB).
-    pub fn to_terabytes(&self) -> Terabytes {
-        Terabytes::new(self.get() / 1000.0)
-    }
-}
-
-impl Terabytes {
-    /// Converts to gigabytes (decimal, 1 TB = 1000 GB).
-    pub fn to_gigabytes(&self) -> Gigabytes {
-        Gigabytes::new(self.get() * 1000.0)
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -230,12 +216,6 @@ mod tests {
         let e =
             Watts::new(1000.0).operational_emissions(Years::new(1.0), CarbonIntensity::new(1.0));
         assert!((e.get() - 8760.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn capacity_conversions() {
-        assert_eq!(Gigabytes::new(2000.0).to_terabytes().get(), 2.0);
-        assert_eq!(Terabytes::new(1.5).to_gigabytes().get(), 1500.0);
     }
 
     #[test]

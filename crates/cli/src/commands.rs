@@ -257,7 +257,7 @@ pub fn help() -> String {
          \u{20}  trace synth   --out FILE [--hours H] [--arrivals A] [--seed S] [--diurnal A] [--chunk-events N]\n\
          \u{20}  gen-trace     the same as trace synth\n\
          \u{20}  trace inspect --trace FILE\n\
-         \u{20}  replay    --trace FILE --design NAME\n\
+         \u{20}  replay    --trace FILE             the same as fleet --trace-file FILE\n\
          \u{20}  characterize [--trace FILE | --hours H --arrivals A --seed S]\n\
          \u{20}  regions                            per-region CI and best design\n\
          \u{20}  defer     --region NAME [--runtime H] [--cores N]\n\
@@ -290,7 +290,10 @@ pub fn run_command(args: &Args) -> Result<String, CliError> {
         "trace synth" | "gen-trace" => trace_synth(args),
         "trace inspect" => trace_inspect(args),
         "trace" => Err(CliError::UnknownCommand("trace (expected synth or inspect)".to_string())),
-        "replay" => replay(args),
+        "replay" => {
+            let path = args.get("trace").ok_or_else(|| ArgError::MissingValue("trace".into()))?;
+            fleet_file_cmd(args, path)
+        }
         "characterize" => characterize_cmd(args),
         "regions" => regions_cmd(),
         "defer" => defer_cmd(args),
@@ -502,42 +505,6 @@ fn trace_inspect(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// Evaluates `design` on a trace file. The file streams through
-/// [`GsfPipeline::evaluate_streamed`] and is never materialized, so
-/// multi-week fleet traces evaluate in bounded memory. Returns the
-/// outcome and the trace's VM count.
-fn evaluate_file(
-    pipeline: &GsfPipeline,
-    design: &GreenSkuDesign,
-    path: &str,
-) -> Result<(PipelineOutcome, u64), CliError> {
-    let file = std::fs::File::open(path)?;
-    let mut reader = TraceChunkReader::new(std::io::BufReader::new(file))?;
-    let o = pipeline.evaluate_streamed(design, &mut reader)?;
-    let (vms, _) = reader.totals().unwrap_or((0, 0));
-    Ok((o, vms))
-}
-
-fn replay(args: &Args) -> Result<String, CliError> {
-    let path = args.get("trace").ok_or_else(|| ArgError::MissingValue("trace".into()))?.to_string();
-    let design = design_by_name(args.get_or("design", "full"))?;
-    let pipeline = GsfPipeline::new(PipelineConfig::default());
-    let (o, vms) = evaluate_file(&pipeline, &design, &path)?;
-    Ok(format!(
-        "{} on {} VMs:\n  plan: {} baseline + {} GreenSKU (buffered {} + {})\n  \
-         adoption {:.1}%  cluster savings {:.1}%  DC savings {:.1}%\n",
-        o.design,
-        vms,
-        o.plan.baseline,
-        o.plan.green,
-        o.plan_buffered.baseline,
-        o.plan_buffered.green,
-        o.adoption_rate * 100.0,
-        o.cluster_savings * 100.0,
-        o.dc_savings * 100.0,
-    ))
-}
-
 fn characterize_cmd(args: &Args) -> Result<String, CliError> {
     let trace = match args.get("trace") {
         Some(path) => decode_chunks(std::io::BufReader::new(std::fs::File::open(path)?))?,
@@ -640,7 +607,7 @@ fn json_escape(s: &str) -> String {
 
 /// One pipeline outcome as a JSON object fragment for `gsf faults
 /// --format json` (no trailing newline, no surrounding braces' key).
-fn faults_json_outcome(o: &gsf_core::PipelineOutcome) -> String {
+fn faults_json_outcome(o: &PipelineOutcome) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("{");
     let _ = write!(
@@ -733,7 +700,7 @@ fn faults_cmd(args: &Args) -> Result<String, CliError> {
         ));
     }
     let mut t = Table::new(vec!["Metric", "Fault-free", "Faulted"]);
-    let plan = |o: &gsf_core::PipelineOutcome| {
+    let plan = |o: &PipelineOutcome| {
         format!(
             "{} + {} (buffered {} + {})",
             o.plan.baseline, o.plan.green, o.plan_buffered.baseline, o.plan_buffered.green
@@ -816,13 +783,18 @@ fn faults_cmd(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// `gsf fleet --trace-file FILE`: evaluate one on-disk trace, streamed
-/// (see [`evaluate_file`]).
+/// `gsf fleet --trace-file FILE`, also run as `gsf replay --trace FILE`:
+/// evaluate one on-disk trace. The file streams through
+/// [`GsfPipeline::evaluate_streamed`] and is never materialized, so
+/// multi-week fleet traces evaluate in bounded memory.
 fn fleet_file_cmd(args: &Args, path: &str) -> Result<String, CliError> {
     let design = design_by_name(args.get_or("design", "full"))?;
     let shards = shard_count(args)?;
     let pipeline = GsfPipeline::new(PipelineConfig { shards, ..PipelineConfig::default() });
-    let (o, vms) = evaluate_file(&pipeline, &design, path)?;
+    let file = std::fs::File::open(path)?;
+    let mut reader = TraceChunkReader::new(std::io::BufReader::new(file))?;
+    let o = pipeline.evaluate_streamed(&design, &mut reader)?;
+    let (vms, _) = reader.totals().unwrap_or((0, 0));
     Ok(format!(
         "{} on {path} ({vms} VMs):\n  plan: {} baseline + {} GreenSKU (buffered {} + {})\n  \
          adoption {:.1}%  cluster savings {:.1}%  DC savings {:.1}%\n",
@@ -839,8 +811,7 @@ fn fleet_file_cmd(args: &Args, path: &str) -> Result<String, CliError> {
 
 fn fleet_cmd(args: &Args) -> Result<String, CliError> {
     if let Some(path) = args.get("trace-file") {
-        let path = path.to_string();
-        return fleet_file_cmd(args, &path);
+        return fleet_file_cmd(args, path);
     }
     let design = design_by_name(args.get_or("design", "full"))?;
     let n = count_at_least(args, "traces", 4, 1)?;
@@ -945,6 +916,14 @@ mod tests {
         assert!(out.contains("verified"), "{out}");
         let out = run(&["replay", "--trace", path_str, "--design", "full"]).unwrap();
         assert!(out.contains("cluster savings"), "{out}");
+        // `replay --trace` is a second name for `fleet --trace-file`,
+        // `--shards` included.
+        assert_eq!(out, run(&["fleet", "--trace-file", path_str, "--design", "full"]).unwrap());
+        let sharded = ["--design", "full", "--shards", "2"];
+        assert_eq!(
+            run(&[&["replay", "--trace", path_str][..], &sharded].concat()).unwrap(),
+            run(&[&["fleet", "--trace-file", path_str][..], &sharded].concat()).unwrap()
+        );
         std::fs::remove_file(path).ok();
     }
 

@@ -5,13 +5,15 @@
 //! An application adopts the GreenSKU if the carbon to serve it there —
 //! scaling factor × GreenSKU CO₂e-per-core — is below the carbon on the
 //! baseline SKU (1 × baseline CO₂e-per-core); applications whose scaling
-//! factor is ">1.5" never adopt.
+//! factor is ">1.5" never adopt. [`decide`] is that rule. The
+//! [`VmRouter`](crate::VmRouter) tabulates it through an
+//! [`AdoptionModel`] for every catalog application and baseline
+//! generation, and design-space search applies it against Gen3.
 
-use crate::components::{CarbonComponent, PerformanceComponent};
-use gsf_carbon::{Assessment, CarbonError, ServerSpec};
+use gsf_carbon::Assessment;
 use gsf_perf::ScalingFactor;
-use gsf_workloads::{ApplicationModel, ServerGeneration};
-use std::collections::BTreeMap;
+use gsf_workloads::ServerGeneration;
+use std::sync::Arc;
 
 /// The outcome of an adoption decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,92 +48,49 @@ impl AdoptionDecision {
     }
 }
 
-/// The adoption model: carbon assessments for the GreenSKU and every
-/// baseline generation, combined with the performance component's
-/// scaling factors.
+/// The §IV-C rule: adopt at `factor` when `factor × green_per_core` is
+/// below `baseline_per_core` (both kg CO₂e per core).
+pub fn decide(
+    factor: ScalingFactor,
+    green_per_core: f64,
+    baseline_per_core: f64,
+) -> AdoptionDecision {
+    match factor.value() {
+        None => AdoptionDecision::RejectPerformance,
+        Some(f) if f * green_per_core < baseline_per_core => AdoptionDecision::Adopt { factor: f },
+        Some(f) => AdoptionDecision::RejectCarbon { factor: f },
+    }
+}
+
+/// The carbon side of the rule: the GreenSKU's CO₂e per core and each
+/// baseline generation's.
+#[derive(Debug, Clone, Copy)]
 pub struct AdoptionModel {
     green_per_core: f64,
-    baseline_per_core: BTreeMap<ServerGeneration, f64>,
+    /// Indexed by `ServerGeneration as usize`.
+    baseline_per_core: [f64; 3],
 }
 
 impl AdoptionModel {
-    /// Builds the model by assessing the GreenSKU and baseline SKUs with
-    /// `carbon`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates assessment failures.
-    pub fn new(
-        carbon: &dyn CarbonComponent,
-        green: &ServerSpec,
-        baselines: &[(ServerGeneration, ServerSpec)],
-    ) -> Result<Self, CarbonError> {
-        let green_per_core = carbon.assess(green)?.total_per_core().get();
-        let mut baseline_per_core = BTreeMap::new();
-        for (generation, sku) in baselines {
-            baseline_per_core.insert(*generation, carbon.assess(sku)?.total_per_core().get());
-        }
-        Ok(Self { green_per_core, baseline_per_core })
-    }
-
-    /// Builds the model from precomputed assessments.
+    /// Builds the model from precomputed assessments. A generation
+    /// missing from `baselines` keeps a NaN baseline, which no product
+    /// is below, so every application stays on that generation's
+    /// baseline.
     pub fn from_assessments(
         green: &Assessment,
-        baselines: &[(ServerGeneration, Assessment)],
+        baselines: &[(ServerGeneration, Arc<Assessment>)],
     ) -> Self {
-        Self {
-            green_per_core: green.total_per_core().get(),
-            baseline_per_core: baselines
-                .iter()
-                .map(|(g, a)| (*g, a.total_per_core().get()))
-                .collect(),
+        let mut baseline_per_core = [f64::NAN; 3];
+        for (generation, assessment) in baselines {
+            baseline_per_core[*generation as usize] = assessment.total_per_core().get();
         }
+        Self { green_per_core: green.total_per_core().get(), baseline_per_core }
     }
 
-    /// GreenSKU CO₂e per core used by the model.
-    pub fn green_per_core(&self) -> f64 {
-        self.green_per_core
-    }
-
-    /// Decides adoption for `app` against the baseline of `generation`,
-    /// with the scaling factor supplied by `perf`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `generation` was not supplied at construction.
-    pub fn decide(
-        &self,
-        perf: &dyn PerformanceComponent,
-        app: &ApplicationModel,
-        generation: ServerGeneration,
-    ) -> AdoptionDecision {
-        let base_per_core = *self
-            .baseline_per_core
-            .get(&generation)
-            // gsf-lint: allow(P1) -- documented "# Panics" contract: a generation missing at construction is a caller bug, not a model state
-            .unwrap_or_else(|| panic!("no baseline assessment for {generation}"));
-        match perf.scaling_factor(app, generation) {
-            ScalingFactor::MoreThanOnePointFive => AdoptionDecision::RejectPerformance,
-            factor => {
-                let f = factor.value().expect("finite scaling factor");
-                if f * self.green_per_core < base_per_core {
-                    AdoptionDecision::Adopt { factor: f }
-                } else {
-                    AdoptionDecision::RejectCarbon { factor: f }
-                }
-            }
-        }
-    }
-
-    /// The core-hour-weighted fraction of the fleet mix that adopts
-    /// against `generation` (a summary statistic the experiments report).
-    pub fn adoption_rate(
-        &self,
-        perf: &dyn PerformanceComponent,
-        mix: &gsf_workloads::FleetMix,
-        generation: ServerGeneration,
-    ) -> f64 {
-        mix.weighted_fraction(|app| self.decide(perf, app, generation).adopts())
+    /// Decides adoption, at the application's scaling `factor`, against
+    /// the baseline of `generation`.
+    pub fn decide(&self, factor: ScalingFactor, generation: ServerGeneration) -> AdoptionDecision {
+        decide(factor, self.green_per_core, self.baseline_per_core[generation as usize])
     }
 }
 
@@ -139,36 +98,45 @@ impl AdoptionModel {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::components::{DefaultCarbon, DefaultPerformance};
     use gsf_carbon::datasets::open_source;
-    use gsf_carbon::ModelParams;
+    use gsf_carbon::{CarbonModel, ModelParams, ServerSpec};
+    use gsf_perf::scaling::scaling_for_generation;
     use gsf_perf::{MemoryPlacement, SkuPerfProfile};
-    use gsf_workloads::{catalog, FleetMix};
+    use gsf_workloads::{catalog, ApplicationModel, FleetMix};
 
-    fn model() -> AdoptionModel {
-        let carbon = DefaultCarbon::new(ModelParams::default_open_source());
-        AdoptionModel::new(
-            &carbon,
-            &open_source::greensku_full(),
-            &[
-                (ServerGeneration::Gen1, open_source::baseline_gen1()),
-                (ServerGeneration::Gen2, open_source::baseline_gen2()),
-                (ServerGeneration::Gen3, open_source::baseline_gen3()),
-            ],
-        )
-        .unwrap()
+    fn assess(sku: &ServerSpec) -> Arc<Assessment> {
+        Arc::new(CarbonModel::new(ModelParams::default_open_source()).assess(sku).unwrap())
     }
 
-    fn perf() -> DefaultPerformance {
-        DefaultPerformance::new(SkuPerfProfile::greensku_cxl(), MemoryPlacement::Pond)
+    fn model() -> AdoptionModel {
+        AdoptionModel::from_assessments(
+            &assess(&open_source::greensku_full()),
+            &[
+                (ServerGeneration::Gen1, assess(&open_source::baseline_gen1())),
+                (ServerGeneration::Gen2, assess(&open_source::baseline_gen2())),
+                (ServerGeneration::Gen3, assess(&open_source::baseline_gen3())),
+            ],
+        )
+    }
+
+    /// `app`'s decision against Gen3, at its GreenSKU-CXL scaling factor
+    /// under Pond placement.
+    fn decide_gen3(m: &AdoptionModel, app: &ApplicationModel) -> AdoptionDecision {
+        let perf = SkuPerfProfile::greensku_cxl();
+        let factor =
+            scaling_for_generation(app, &perf, MemoryPlacement::Pond, ServerGeneration::Gen3);
+        m.decide(factor, ServerGeneration::Gen3)
+    }
+
+    fn by_name(name: &str) -> ApplicationModel {
+        catalog::by_name(name).unwrap()
     }
 
     #[test]
     fn scale_out_apps_adopt_vs_gen3() {
         let m = model();
-        let p = perf();
         for name in ["Redis", "Shore", "Img-DNN", "Caddy", "Envoy"] {
-            let d = m.decide(&p, &catalog::by_name(name).unwrap(), ServerGeneration::Gen3);
+            let d = decide_gen3(&m, &by_name(name));
             assert_eq!(d, AdoptionDecision::Adopt { factor: 1.0 }, "{name}");
         }
     }
@@ -176,9 +144,8 @@ mod tests {
     #[test]
     fn unscalable_apps_rejected_on_performance() {
         let m = model();
-        let p = perf();
         for name in ["Masstree", "Silo"] {
-            let d = m.decide(&p, &catalog::by_name(name).unwrap(), ServerGeneration::Gen3);
+            let d = decide_gen3(&m, &by_name(name));
             assert_eq!(d, AdoptionDecision::RejectPerformance, "{name}");
         }
     }
@@ -187,8 +154,7 @@ mod tests {
     fn scaled_apps_adopt_when_carbon_still_favors_green() {
         // Moses needs 1.25× cores; GreenSKU-Full's per-core carbon is
         // ~26 % below Gen3's, so 1.25 × green < 1 × base holds.
-        let m = model();
-        let d = m.decide(&perf(), &catalog::by_name("Moses").unwrap(), ServerGeneration::Gen3);
+        let d = decide_gen3(&model(), &by_name("Moses"));
         assert_eq!(d.factor(), Some(1.25));
     }
 
@@ -197,7 +163,7 @@ mod tests {
         // The paper's packing study assumes broad adoption; Table III
         // rejects only Masstree and Silo vs Gen3 (2 of 4 big-data apps).
         let m = model();
-        let rate = m.adoption_rate(&perf(), &FleetMix::standard(), ServerGeneration::Gen3);
+        let rate = FleetMix::standard().weighted_fraction(|app| decide_gen3(&m, app).adopts());
         assert!(rate > 0.7 && rate < 1.0, "adoption rate {rate}");
     }
 
@@ -205,29 +171,25 @@ mod tests {
     fn carbon_rejection_branch_reachable() {
         // With a GreenSKU as carbon-expensive as the baseline, scaled
         // apps must reject on carbon.
-        let carbon = DefaultCarbon::new(ModelParams::default_open_source());
-        let m = AdoptionModel::new(
-            &carbon,
-            &open_source::baseline_gen3(), // "green" = baseline itself
-            &[(ServerGeneration::Gen3, open_source::baseline_gen3())],
-        )
-        .unwrap();
-        let d = m.decide(&perf(), &catalog::by_name("Moses").unwrap(), ServerGeneration::Gen3);
+        let gen3 = assess(&open_source::baseline_gen3());
+        let m = AdoptionModel::from_assessments(
+            &gen3, // "green" = baseline itself
+            &[(ServerGeneration::Gen3, Arc::clone(&gen3))],
+        );
+        let d = decide_gen3(&m, &by_name("Moses"));
         assert_eq!(d, AdoptionDecision::RejectCarbon { factor: 1.25 });
         assert!(!d.adopts());
         assert_eq!(d.factor(), None);
     }
 
     #[test]
-    #[should_panic(expected = "no baseline assessment")]
-    fn missing_generation_panics() {
-        let carbon = DefaultCarbon::new(ModelParams::default_open_source());
-        let m = AdoptionModel::new(
-            &carbon,
-            &open_source::greensku_full(),
-            &[(ServerGeneration::Gen3, open_source::baseline_gen3())],
-        )
-        .unwrap();
-        m.decide(&perf(), &catalog::by_name("Redis").unwrap(), ServerGeneration::Gen1);
+    fn missing_generation_stays_on_baseline() {
+        let m = AdoptionModel::from_assessments(
+            &assess(&open_source::greensku_full()),
+            &[(ServerGeneration::Gen3, assess(&open_source::baseline_gen3()))],
+        );
+        assert!(m.decide(ScalingFactor::One, ServerGeneration::Gen3).adopts());
+        let d = m.decide(ScalingFactor::One, ServerGeneration::Gen1);
+        assert_eq!(d, AdoptionDecision::RejectCarbon { factor: 1.0 });
     }
 }

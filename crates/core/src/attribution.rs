@@ -106,13 +106,12 @@ impl AttributionReport {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::components::{CarbonComponent, DefaultCarbon};
     use gsf_carbon::datasets::open_source;
-    use gsf_carbon::ModelParams;
+    use gsf_carbon::{CarbonModel, ModelParams};
     use gsf_workloads::catalog;
 
     fn assessments() -> (Assessment, Assessment) {
-        let carbon = DefaultCarbon::new(ModelParams::default_open_source());
+        let carbon = CarbonModel::new(ModelParams::default_open_source());
         (
             carbon.assess(&open_source::baseline_gen3()).unwrap(),
             carbon.assess(&open_source::greensku_full()).unwrap(),

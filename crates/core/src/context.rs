@@ -24,8 +24,7 @@
 //! bitwise identical — cached and uncached evaluations therefore produce
 //! bitwise-identical outcomes.
 
-use crate::components::{CarbonComponent, DefaultCarbon};
-use gsf_carbon::{Assessment, CarbonError, ModelParams, ServerSpec};
+use gsf_carbon::{Assessment, CarbonError, CarbonModel, ModelParams, ServerSpec};
 use gsf_cluster::sizing::ClusterPlan;
 use gsf_vmalloc::{FaultSummary, PlacementPolicy, PreparedTrace, ServerShape, SimOutcome};
 use gsf_workloads::ServerGeneration;
@@ -246,18 +245,6 @@ pub struct CacheStats {
     pub prepared_entries: usize,
 }
 
-impl CacheStats {
-    /// Hit fraction in `[0, 1]`; zero when nothing was looked up.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// One memo table with its hit and miss counters: the lookup protocol
 /// every cached stage of [`EvalContext`] shares. `map` is `None` in
 /// pass-through mode, where every lookup computes and counts a miss.
@@ -350,11 +337,6 @@ impl EvalContext {
         Self::default()
     }
 
-    /// Whether this context caches.
-    pub fn is_caching(&self) -> bool {
-        self.assessments.map.is_some()
-    }
-
     /// Assesses `sku` under `params`, returning the cached assessment
     /// when the bit-identical pair was assessed before.
     ///
@@ -367,7 +349,7 @@ impl EvalContext {
         sku: &ServerSpec,
     ) -> Result<Arc<Assessment>, CarbonError> {
         self.assessments.get_or_compute(AssessmentKey::of(params, sku), || {
-            DefaultCarbon::new(*params).assess(sku)
+            CarbonModel::new(*params).assess(sku)
         })
     }
 
@@ -520,7 +502,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "hit must return the cached Arc");
         let s = ctx.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -566,7 +547,6 @@ mod tests {
         }
         assert_eq!(uncached.stats().hits, 0);
         assert_eq!(uncached.stats().entries, 0);
-        assert!(!uncached.is_caching() && cached.is_caching());
     }
 
     #[test]

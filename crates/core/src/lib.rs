@@ -1,9 +1,8 @@
 //! GSF — the GreenSKU Framework (the paper's primary contribution).
 //!
 //! GSF estimates a data center's emissions from deploying a GreenSKU at
-//! scale. It composes seven components (Fig. 6 of the paper) through
-//! typed interfaces, so a cloud provider can swap any implementation
-//! while keeping the data flow:
+//! scale. It composes seven components (Fig. 6 of the paper) in a fixed
+//! data flow:
 //!
 //! ```text
 //!  carbon data ─→ [Carbon model] ─→ CO₂e per core ──────────────┐
@@ -13,10 +12,9 @@
 //!                                  [Growth buffer] ─→ buffer ───┘
 //! ```
 //!
-//! The component traits live in [`components`]; production-faithful
-//! default implementations (backed by `gsf-carbon`, `gsf-perf`,
-//! `gsf-vmalloc`, `gsf-maintenance`, `gsf-cluster`) are provided
-//! alongside each trait. [`pipeline::GsfPipeline`] wires them together
+//! Each component is a crate: `gsf-carbon`, `gsf-perf`, `gsf-vmalloc`,
+//! `gsf-maintenance` and `gsf-cluster`; the adoption rule lives in
+//! [`adoption`]. [`pipeline::GsfPipeline`] calls them along that flow
 //! and produces the headline outputs: per-core savings (Table IV/VIII),
 //! cluster-level savings across carbon intensities (Figs. 11/12), and
 //! packing statistics (Figs. 9/10).
@@ -48,7 +46,6 @@
 
 pub mod adoption;
 pub mod attribution;
-pub mod components;
 pub mod context;
 pub mod design;
 pub mod error;

@@ -2,7 +2,6 @@
 //! baselines, applications) → data-center emissions and savings.
 
 use crate::adoption::AdoptionModel;
-use crate::components::{DefaultMaintenance, DefaultPerformance, MaintenanceComponent};
 use crate::context::EvalContext;
 use crate::design::GreenSkuDesign;
 use crate::error::GsfError;
@@ -18,14 +17,15 @@ use gsf_cluster::{
         right_size, AvailabilitySlo, ClusterPlan, FaultInjection, MixedSearch, SizingRequest,
     },
 };
-use gsf_maintenance::{FaultModel, PoolDevices};
+use gsf_maintenance::{
+    oos_fraction, ComponentAfrs, FaultModel, FipPolicy, PoolDevices, ServerAfr, PAPER_REPAIR_DAYS,
+};
+use gsf_perf::scaling::scaling_for_generation;
 use gsf_vmalloc::{
     AllocationSim, AvailabilitySummary, ClusterConfig, FaultPlan, FaultSummary, PlacementPolicy,
     PlacementRequest, PreparedTrace, ServerShape, ShardedSim, SimOutcome,
 };
-use gsf_workloads::{
-    catalog, ApplicationModel, FleetMix, ServerGeneration, Trace, TraceChunkReader, VmSpec,
-};
+use gsf_workloads::{catalog, FleetMix, ServerGeneration, Trace, TraceChunkReader, VmSpec};
 use std::sync::Arc;
 
 /// The most shards [`PipelineConfig::shards`] may ask for. Every shard
@@ -143,10 +143,13 @@ pub struct PipelineOutcome {
 /// Full-node VMs always go to baseline servers; VMs whose application
 /// adopts the GreenSKU issue green-preferring requests scaled by the
 /// application's scaling factor; everything else stays baseline-only.
+/// The router decides once per catalog application and baseline
+/// generation when it is built, so routing a VM reads one table entry.
 pub struct VmRouter {
-    adoption: AdoptionModel,
-    perf: DefaultPerformance,
-    apps: Vec<ApplicationModel>,
+    /// The adopting scaling factor of each catalog application against
+    /// each baseline generation (`ServerGeneration as usize`), or `None`
+    /// where the application stays on the baseline.
+    factors: Vec<[Option<f64>; 3]>,
 }
 
 impl VmRouter {
@@ -181,19 +184,25 @@ impl VmRouter {
     }
 
     /// Builds a router from already-computed assessments (no carbon
-    /// model runs).
+    /// model runs). A generation missing from `baselines` routes every
+    /// VM of that generation to the baseline.
     pub fn from_assessments(
         green: &Assessment,
         baselines: &[(ServerGeneration, Arc<Assessment>)],
         design: &GreenSkuDesign,
     ) -> Self {
-        let owned: Vec<(ServerGeneration, Assessment)> =
-            baselines.iter().map(|(g, a)| (*g, (**a).clone())).collect();
-        Self {
-            adoption: AdoptionModel::from_assessments(green, &owned),
-            perf: DefaultPerformance::new(design.perf.clone(), design.placement),
-            apps: catalog::applications(),
-        }
+        let adoption = AdoptionModel::from_assessments(green, baselines);
+        let factors = catalog::applications()
+            .iter()
+            .map(|app| {
+                ServerGeneration::all().map(|generation| {
+                    let factor =
+                        scaling_for_generation(app, &design.perf, design.placement, generation);
+                    adoption.decide(factor, generation).factor()
+                })
+            })
+            .collect();
+        Self { factors }
     }
 
     /// The placement request for one VM.
@@ -201,21 +210,17 @@ impl VmRouter {
         if vm.full_node {
             return PlacementRequest::baseline_only(vm);
         }
-        let app = &self.apps[usize::from(vm.app_index) % self.apps.len()];
-        match self.adoption.decide(&self.perf, app, vm.generation).factor() {
+        let app = usize::from(vm.app_index) % self.factors.len();
+        match self.factors[app][vm.generation as usize] {
             Some(factor) => PlacementRequest::prefer_green(vm, factor),
             None => PlacementRequest::baseline_only(vm),
         }
     }
 
-    /// The underlying adoption model.
-    pub fn adoption(&self) -> &AdoptionModel {
-        &self.adoption
-    }
-
     /// Structural fingerprint of every placement decision this router
-    /// can make: the scaling factor (or a baseline-only marker) for
-    /// each (application, generation) pair, bit-exact.
+    /// can make: the catalog length, then the scaling factor (or a
+    /// baseline-only marker) for each (application, generation) pair in
+    /// catalog order, bit-exact.
     ///
     /// Two routers with equal signatures produce identical
     /// [`PlacementRequest`]s for every VM — [`Self::request`] depends
@@ -225,23 +230,24 @@ impl VmRouter {
         // Real scaling factors are finite, so they never collide with
         // the NaN bit pattern used to mark baseline-only decisions.
         const BASELINE_ONLY: u64 = u64::MAX;
-        let generations = [ServerGeneration::Gen1, ServerGeneration::Gen2, ServerGeneration::Gen3];
-        let mut sig = Vec::with_capacity(self.apps.len() * generations.len() + 1);
-        sig.push(self.apps.len() as u64);
-        for app in &self.apps {
-            for generation in generations {
-                sig.push(match self.adoption.decide(&self.perf, app, generation).factor() {
-                    Some(factor) => factor.to_bits(),
-                    None => BASELINE_ONLY,
-                });
-            }
-        }
+        let mut sig = Vec::with_capacity(self.factors.len() * 3 + 1);
+        sig.push(self.factors.len() as u64);
+        sig.extend(self.factors.iter().flatten().map(|f| f.map_or(BASELINE_ONLY, f64::to_bits)));
         sig
     }
 
     /// Core-hour-weighted Gen3 adoption rate of the standard fleet mix.
     pub fn adoption_rate_gen3(&self) -> f64 {
-        self.adoption.adoption_rate(&self.perf, &FleetMix::standard(), ServerGeneration::Gen3)
+        // Both sums run in catalog order, as `FleetMix::weighted_fraction`
+        // adds them, so the rate is bit-identical to that fraction.
+        let mix = FleetMix::standard();
+        let weights = || (0..self.factors.len()).map(|i| mix.weight(i));
+        let adopted: f64 = weights()
+            .zip(&self.factors)
+            .filter(|(_, row)| row[ServerGeneration::Gen3 as usize].is_some())
+            .map(|(w, _)| w)
+            .sum();
+        adopted / weights().sum::<f64>()
     }
 }
 
@@ -589,12 +595,14 @@ impl GsfPipeline {
 
         // Maintenance (§IV-B): out-of-service servers need spare
         // capacity; inflate each pool by its OOS fraction (Little's law
-        // over post-FIP repair rates).
-        let m = DefaultMaintenance::paper();
-        let oos_baseline = m
-            .oos_fraction(m.repair_rate(setup.baseline_devices.dimms, setup.baseline_devices.ssds));
-        let oos_green =
-            m.oos_fraction(m.repair_rate(setup.green_devices.dimms, setup.green_devices.ssds));
+        // over post-FIP repair rates at the paper's AFRs, 75 % FIP and
+        // 5-day repairs).
+        let oos = |devices: PoolDevices| {
+            let afr = ServerAfr::new(&ComponentAfrs::paper(), devices.dimms, devices.ssds);
+            oos_fraction(FipPolicy::paper().repair_rate(&afr), PAPER_REPAIR_DAYS)
+        };
+        let oos_baseline = oos(setup.baseline_devices);
+        let oos_green = oos(setup.green_devices);
 
         // Growth buffer: baseline-only on both sides.
         let baseline_plan = ClusterPlan { baseline: n0, green: 0 };
@@ -819,6 +827,85 @@ mod tests {
         assert_eq!(o.oos_baseline.to_bits(), 0x3f3a_eebf_0d9b_4887, "{}", o.oos_baseline);
         assert_eq!(o.oos_green.to_bits(), 0x3f40_28d9_0829_f850, "{}", o.oos_green);
         assert_eq!(o.dc_savings.to_bits(), 0x3fb2_cb68_c158_2d5f, "{}", o.dc_savings);
+    }
+
+    /// A decision signature written app by app in catalog order, three
+    /// generations each: `1`, `q` and `h` adopt at 1.0, 1.25 and 1.5,
+    /// and `-` stays on the baseline.
+    fn signature(rows: &str) -> Vec<u64> {
+        let mut sig = vec![20];
+        sig.extend(rows.chars().filter(|c| !c.is_whitespace()).map(|c| match c {
+            '1' => 1.0f64.to_bits(),
+            'q' => 1.25f64.to_bits(),
+            'h' => 1.5f64.to_bits(),
+            _ => u64::MAX,
+        }));
+        sig
+    }
+
+    fn router_at(design: &GreenSkuDesign, ci: f64) -> VmRouter {
+        let params =
+            ModelParams::default_open_source().with_carbon_intensity(CarbonIntensity::new(ci));
+        VmRouter::new(params, design).unwrap()
+    }
+
+    #[test]
+    fn decision_tables_and_adoption_rates_are_pinned() {
+        // On a dirty grid every scaled application rejects on carbon;
+        // on a clean one the reuse designs adopt at 1.25, and Full also
+        // adopts Xapian (row 5) at 1.5 against Gen3.
+        let unscaled =
+            "111 11- --- 111 11- 1-- 1-- 111 11- 1-- 111 11- 111 111 11- 11- 11- 11- 1-- 1--";
+        let cxl = "111 11- --- 111 11- 1qq 1qq 111 11q 1qq 111 11q 111 111 11q 11q 11q 11q 1qq 1qq";
+        let full =
+            "111 11- --- 111 11h 1qq 1qq 111 11q 1qq 111 11q 111 111 11q 11q 11q 11q 1qq 1qq";
+        let unscaled_rate = 0x3fd6_3d06_b925_c0e7; // 0.3475
+        let cases = [
+            (GreenSkuDesign::efficient(), 0.02, unscaled, unscaled_rate),
+            (GreenSkuDesign::efficient(), 0.5, unscaled, unscaled_rate),
+            (GreenSkuDesign::cxl(), 0.02, cxl, 0x3fe9_1534_3bfd_ee6a), // 0.7838
+            (GreenSkuDesign::cxl(), 0.5, unscaled, unscaled_rate),
+            (GreenSkuDesign::full(), 0.02, full, 0x3fea_d40a_57eb_5029), // 0.8384
+            (GreenSkuDesign::full(), 0.5, unscaled, unscaled_rate),
+        ];
+        for (design, ci, rows, rate) in cases {
+            let router = router_at(&design, ci);
+            let name = design.name();
+            assert_eq!(router.decision_signature(), signature(rows), "{name} at {ci}");
+            assert_eq!(router.adoption_rate_gen3().to_bits(), rate, "{name} at {ci}");
+        }
+    }
+
+    #[test]
+    fn request_follows_the_decision_signature() {
+        // GreenSKU-Full on a clean grid routes at every factor: 1.0,
+        // 1.25, 1.5 and baseline-only. A 3-core VM grows to 3, 4 and 5
+        // cores, so each factor gives a distinct request.
+        let router = router_at(&GreenSkuDesign::full(), 0.02);
+        let sig = router.decision_signature();
+        for app_index in 0..=u16::MAX {
+            for (g, generation) in ServerGeneration::all().into_iter().enumerate() {
+                for full_node in [false, true] {
+                    let vm = VmSpec {
+                        id: 1,
+                        cores: 3,
+                        mem_gb: 12.0,
+                        app_index,
+                        generation,
+                        full_node,
+                        max_mem_util: 0.5,
+                        avg_cpu_util: 0.2,
+                    };
+                    let word = sig[1 + usize::from(app_index) % 20 * 3 + g];
+                    let expected = if full_node || word == u64::MAX {
+                        PlacementRequest::baseline_only(&vm)
+                    } else {
+                        PlacementRequest::prefer_green(&vm, f64::from_bits(word))
+                    };
+                    assert_eq!(router.request(&vm), expected, "{vm:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,11 +7,9 @@
 //! overheads, and the top carbon-consuming applications.
 
 use crate::attribution::AttributionReport;
-use crate::components::{CarbonComponent, DefaultCarbon};
 use crate::design::GreenSkuDesign;
 use crate::error::GsfError;
 use crate::pipeline::{GsfPipeline, PipelineOutcome};
-use gsf_carbon::datasets::open_source;
 use gsf_workloads::{catalog, Trace};
 use std::fmt::Write as _;
 
@@ -26,15 +24,13 @@ pub fn deployment_report(
     trace: &Trace,
 ) -> Result<String, GsfError> {
     let outcome = pipeline.evaluate(design, trace)?;
-    let carbon = DefaultCarbon::new(pipeline.config().carbon_params);
-    let baseline = carbon.assess(&open_source::baseline_gen3())?;
-    let green = carbon.assess(&design.carbon)?;
+    let params = &pipeline.config().carbon_params;
     let attribution = AttributionReport::new(
         &outcome.replay.usage,
         &catalog::applications(),
-        &baseline,
-        &green,
-        pipeline.config().carbon_params.lifetime.hours(),
+        &*pipeline.context().gen3(params)?,
+        &*pipeline.context().assess(params, &design.carbon)?,
+        params.lifetime.hours(),
     );
     Ok(render(design, trace, &outcome, &attribution))
 }

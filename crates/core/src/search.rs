@@ -17,7 +17,6 @@
 //! 4. [`pareto_front`] keeps the designs that are not dominated on
 //!    (effective savings, adoption rate).
 
-use crate::components::{DefaultPerformance, PerformanceComponent};
 use crate::context::EvalContext;
 use crate::design::GreenSkuDesign;
 use crate::error::GsfError;
@@ -26,6 +25,7 @@ use gsf_carbon::datasets::open_source as data;
 use gsf_carbon::units::{KgCo2e, Watts};
 use gsf_carbon::{ModelParams, ServerSpec};
 use gsf_cluster::parallel::{default_workers, map_parallel};
+use gsf_perf::scaling::scaling_for_generation;
 use gsf_perf::{MemoryPlacement, SkuPerfProfile};
 use gsf_workloads::{FleetMix, ServerGeneration};
 
@@ -304,19 +304,16 @@ pub fn evaluate_space_with(
         let design = config.build()?;
         let assessment = ctx.assess(&params, &design.carbon)?;
         let green_pc = assessment.total_per_core().get();
-        let perf = DefaultPerformance::new(design.perf.clone(), design.placement);
 
         let mut adoption = 0.0;
         let mut effective = 0.0;
         for (i, app) in mix.apps().iter().enumerate() {
-            let w = mix.fraction(i);
-            let factor = perf.scaling_factor(app, ServerGeneration::Gen3).value();
-            if let Some(f) = factor {
-                let saving = 1.0 - f * green_pc / base_pc;
-                if saving > 0.0 {
-                    adoption += w;
-                    effective += w * saving;
-                }
+            let factor =
+                scaling_for_generation(app, &design.perf, design.placement, ServerGeneration::Gen3);
+            if let Some(f) = crate::adoption::decide(factor, green_pc, base_pc).factor() {
+                let w = mix.fraction(i);
+                adoption += w;
+                effective += w * (1.0 - f * green_pc / base_pc);
             }
         }
         Ok(SearchResult {
@@ -404,6 +401,24 @@ mod tests {
         let genoa_adoption =
             rs.iter().find(|r| r.config.cpu == CpuChoice::Genoa).unwrap().adoption_rate;
         assert!((genoa_adoption - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn scores_are_pinned() {
+        // The winner's scores by bits, and a fold of every candidate's
+        // adoption rate and effective savings in rank order. The last
+        // three candidates adopt nowhere: every app rejects on carbon
+        // or on performance.
+        let rs = results();
+        assert_eq!(rs[0].name, "Bergamo 6GB/core, 50% CXL, 100% reused SSD");
+        assert_eq!(rs[0].adoption_rate.to_bits(), 0x3fea_d40a_57eb_5027); // 0.8384
+        assert_eq!(rs[0].effective_savings.to_bits(), 0x3fd0_0109_6a5a_8ac7); // 0.2501
+        assert!(rs[rs.len() - 3..].iter().all(|r| r.adoption_rate == 0.0));
+        let fold = rs
+            .iter()
+            .flat_map(|r| [r.adoption_rate.to_bits(), r.effective_savings.to_bits()])
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, w| (h ^ w).wrapping_mul(0x0100_0000_01b3));
+        assert_eq!(fold, 0x9da9_0c3a_b6ad_c3dd);
     }
 
     #[test]

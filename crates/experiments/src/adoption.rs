@@ -72,7 +72,6 @@ pub fn run(ctx: &ExpContext) -> Result<(), ExpError> {
 /// Writes the per-application attribution table for one replayed trace.
 fn attribution_report(ctx: &ExpContext) -> Result<(), ExpError> {
     use gsf_core::attribution::AttributionReport;
-    use gsf_core::components::{CarbonComponent, DefaultCarbon};
     use gsf_core::{GreenSkuDesign, GsfPipeline, PipelineConfig};
     use gsf_stats::rng::SeedFactory;
     use gsf_workloads::{TraceGenerator, TraceParams};
@@ -87,16 +86,13 @@ fn attribution_report(ctx: &ExpContext) -> Result<(), ExpError> {
     let design = GreenSkuDesign::full();
     let pipeline = GsfPipeline::new(PipelineConfig::default());
     let outcome = pipeline.evaluate(&design, &trace)?;
-    let carbon = DefaultCarbon::new(pipeline.config().carbon_params);
-    let baseline = carbon.assess(&gsf_carbon::datasets::open_source::baseline_gen3())?;
-    let green = carbon.assess(&design.carbon)?;
-    let lifetime_h = pipeline.config().carbon_params.lifetime.hours();
+    let params = &pipeline.config().carbon_params;
     let report = AttributionReport::new(
         &outcome.replay.usage,
         &catalog::applications(),
-        &baseline,
-        &green,
-        lifetime_h,
+        &*pipeline.context().gen3(params)?,
+        &*pipeline.context().assess(params, &design.carbon)?,
+        params.lifetime.hours(),
     );
 
     let mut t =

@@ -4,7 +4,7 @@
 
 use crate::context::{ExpContext, ExpError};
 use gsf_carbon::ModelParams;
-use gsf_cluster::parallel::map_parallel;
+use gsf_cluster::parallel::{default_workers, map_parallel};
 use gsf_cluster::sizing::{right_size, MixedSearch, SizingRequest};
 use gsf_core::{GreenSkuDesign, VmRouter};
 use gsf_stats::cdf::EmpiricalCdf;
@@ -57,7 +57,7 @@ pub fn packing_study(
     let baseline_shape = ServerShape::baseline_gen3();
     let green_shape =
         ServerShape { cores: design.carbon.cores(), mem_gb: design.carbon.memory_capacity().get() };
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let workers = default_workers();
     let results = map_parallel(&traces, workers, |_, trace| -> Result<TracePacking, ExpError> {
         let prepared_base = PreparedTrace::new(trace, &PlacementRequest::baseline_only);
         let prepared_green = PreparedTrace::new(trace, &|vm: &VmSpec| router.request(vm));

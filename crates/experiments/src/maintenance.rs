@@ -3,7 +3,7 @@
 //! negligible.
 
 use crate::context::{ExpContext, ExpError};
-use gsf_maintenance::{oos_fraction, CoosComparison, FipPolicy, ServerAfr};
+use gsf_maintenance::{oos_fraction, CoosComparison, FipPolicy, ServerAfr, PAPER_REPAIR_DAYS};
 use gsf_stats::table::{fmt_f, fmt_pct, Table};
 
 /// Regenerates the maintenance numbers.
@@ -28,7 +28,7 @@ pub fn run(ctx: &ExpContext) -> Result<(), ExpError> {
             afr.ssds.to_string(),
             fmt_f(afr.total, 1),
             fmt_f(repair, 1),
-            fmt_pct(oos_fraction(repair, 5.0), 3),
+            fmt_pct(oos_fraction(repair, PAPER_REPAIR_DAYS), 3),
         ]);
     }
     ctx.write_table("maintenance_afr_fip", &t)?;

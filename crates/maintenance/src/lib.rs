@@ -31,5 +31,5 @@ pub use error::MaintenanceError;
 pub use failure_sim::{FailureSim, FailureSimParams};
 pub use faults::{FaultModel, FaultTopology, PoolDevices};
 pub use fip::FipPolicy;
-pub use oos::{oos_fraction, CoosComparison};
+pub use oos::{oos_fraction, CoosComparison, PAPER_REPAIR_DAYS};
 pub use ssd_wear::{SsdEndurance, SsdWear};

@@ -6,15 +6,19 @@
 //! between SKUs: repair rate × relative server count × relative
 //! per-server emissions.
 
+/// The paper's mean time to repair a server (§V), in days.
+pub const PAPER_REPAIR_DAYS: f64 = 5.0;
+
 /// Fraction of servers out of service: `repair_rate` (per 100 servers
 /// per year) × `repair_days` mean time to repair.
 ///
 /// # Example
 ///
 /// ```
+/// use gsf_maintenance::{oos_fraction, PAPER_REPAIR_DAYS};
 /// // 3 repairs per 100 servers per year, 5-day repairs:
 /// // ~0.04 % of servers are out of service at any time.
-/// let f = gsf_maintenance::oos_fraction(3.0, 5.0);
+/// let f = oos_fraction(3.0, PAPER_REPAIR_DAYS);
 /// assert!((f - 3.0 / 100.0 * 5.0 / 365.0).abs() < 1e-12);
 /// ```
 pub fn oos_fraction(repair_rate_per_100: f64, repair_days: f64) -> f64 {

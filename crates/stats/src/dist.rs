@@ -283,17 +283,6 @@ impl Categorical {
     pub fn is_empty(&self) -> bool {
         self.cumulative.is_empty()
     }
-
-    /// Probability of category `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn pmf(&self, k: usize) -> f64 {
-        let hi = self.cumulative[k];
-        let lo = if k == 0 { 0.0 } else { self.cumulative[k - 1] };
-        hi - lo
-    }
 }
 
 impl Distribution<usize> for Categorical {

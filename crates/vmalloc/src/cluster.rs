@@ -60,11 +60,6 @@ impl ClusterConfig {
         }
     }
 
-    /// Total servers in the cluster.
-    pub fn total_servers(&self) -> u32 {
-        self.baseline_count + self.green_count
-    }
-
     /// Total allocatable cores across both pools.
     pub fn total_cores(&self) -> u64 {
         u64::from(self.baseline_count) * u64::from(self.baseline_shape.cores)
@@ -88,7 +83,6 @@ mod tests {
     #[test]
     fn totals() {
         let c = ClusterConfig::mixed(10, 5);
-        assert_eq!(c.total_servers(), 15);
         assert_eq!(c.total_cores(), 10 * 80 + 5 * 128);
         assert_eq!(ClusterConfig::baseline_only(3).green_count, 0);
     }

@@ -120,11 +120,18 @@ impl TraceGenerator {
     ///
     /// # Panics
     ///
-    /// Panics on invalid [`TraceParams`] (non-positive rates, lifetimes,
-    /// or distribution weights); the defaults and every preset in the
+    /// Panics on invalid [`TraceParams`]: a duration that is not
+    /// positive and finite (at NaN or +∞ the arrival loop would never
+    /// reach the horizon), or non-positive rates, lifetimes, or
+    /// distribution weights. The defaults and every preset in the
     /// binaries satisfy these.
     fn samplers(&self) -> Samplers {
         let p = &self.params;
+        assert!(
+            p.duration_hours.is_finite() && p.duration_hours > 0.0,
+            "trace duration must be positive and finite, got {} h",
+            p.duration_hours
+        );
         let inter_arrival =
             Exponential::with_mean(3600.0 / p.arrivals_per_hour).expect("positive arrival rate");
         // Non-homogeneous Poisson arrivals by thinning: candidates are
@@ -223,6 +230,11 @@ impl TraceGenerator {
 
     /// Generates trace number `index` under `seeds`. The same
     /// `(seeds, index)` always produces the same trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics on invalid [`TraceParams`], such as a duration that is not
+    /// positive and finite.
     pub fn generate(&self, seeds: &SeedFactory, index: u64) -> Trace {
         let s = self.samplers();
         let mut rng = seeds.stream_indexed("trace", index);
@@ -266,6 +278,10 @@ impl TraceGenerator {
     ///
     /// I/O failure, or [`gsf_workloads::chunks`](crate::chunks) codec
     /// errors (which indicate a generator bug, not bad input).
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::generate`], before anything is written.
     pub fn synthesize_streamed<W: std::io::Write>(
         &self,
         seeds: &SeedFactory,
@@ -569,5 +585,45 @@ mod tests {
         let digest = g.synthesize_streamed(&seeds, 1, &mut buf, 1024).unwrap();
         assert_eq!(crate::chunks::decode_chunks(&buf[..]).unwrap(), in_memory);
         assert_eq!(digest, in_memory.content_hash());
+    }
+
+    /// A generator whose horizon is `hours`; a non-finite one used to
+    /// keep the arrival loop running until memory ran out.
+    fn with_duration(hours: f64) -> TraceGenerator {
+        TraceGenerator::new(TraceParams { duration_hours: hours, ..small_params() })
+    }
+
+    #[test]
+    #[should_panic(expected = "positive and finite, got NaN h")]
+    fn nan_duration_panics_in_generate() {
+        with_duration(f64::NAN).generate(&SeedFactory::new(1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive and finite, got inf h")]
+    fn infinite_duration_panics_in_generate() {
+        with_duration(f64::INFINITY).generate(&SeedFactory::new(1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive and finite, got NaN h")]
+    fn nan_duration_panics_in_synthesize_streamed() {
+        let _ = with_duration(f64::NAN).synthesize_streamed(
+            &SeedFactory::new(1),
+            0,
+            std::io::sink(),
+            64,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "positive and finite, got inf h")]
+    fn infinite_duration_panics_in_synthesize_streamed() {
+        let _ = with_duration(f64::INFINITY).synthesize_streamed(
+            &SeedFactory::new(1),
+            0,
+            std::io::sink(),
+            64,
+        );
     }
 }
